@@ -49,10 +49,11 @@ from scipy.stats import spearmanr
 
 from . import __version__
 from .eigen import (alpha_from_lambda, chiti_compare, first_eigenpair,
-                    model_eigenpair, reverse_holder, stability_deficit)
-from .radial_poisson import (RadialProblem, WeightedInterval, gradient_norm,
-                             gradient_norm_mass, solve_explicit,
-                             solve_mass_form, weak_residual)
+                    model_eigenpair, reverse_holder, stability_deficits)
+from .errors import ParseError
+from .model_space import WeightedInterval
+from .radial_poisson import (RadialProblem, gradient_norm, gradient_norm_mass,
+                             solve_explicit, solve_mass_form, weak_residual)
 from .rearrangement import StepFunction, decreasing_rearrangement, lp_norm, \
     sample_on_cells
 from .sobolev_embed import c1_constant, check_embedding, \
@@ -62,10 +63,6 @@ from .talenti_check import ProblemInstance, make_shifted_cap, model_for, \
 
 _KERNEL = f"talenti-kit {__version__}"
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*\Z")
-
-
-class ParseError(ValueError):
-    """Scenario text or environment that cannot produce a valid run."""
 
 
 def _fmt(x) -> str:
@@ -474,23 +471,11 @@ class RunRecord:
         return "\n".join(lines) + "\n"
 
 
-_INTERVALS: dict[tuple[float, float], WeightedInterval] = {}
-
-
-def _model_interval(K: float, N: float) -> WeightedInterval:
-    key = (float(K), float(N))
-    ival = _INTERVALS.get(key)
-    if ival is None:
-        ival = WeightedInterval.from_model(model_for(K, N))
-        _INTERVALS[key] = ival
-    return ival
-
-
 def _space_for(params: dict) -> WeightedInterval:
     if params["a"] > 0.0:
         return make_shifted_cap(params["K"], params["N"], params["a"],
                                 params["v"])
-    return _model_interval(params["K"], params["N"])
+    return model_for(params["K"], params["N"])
 
 
 def _run_model_probe(sc: Scenario, budget: Budget):
@@ -514,7 +499,7 @@ def _run_model_probe(sc: Scenario, budget: Budget):
 
 def _run_symmetrize(sc: Scenario, budget: Budget):
     spec = sc.params["f"]
-    ival = _model_interval(sc.params["K"], sc.params["N"])
+    ival = model_for(sc.params["K"], sc.params["N"])
     r1 = float(ival.inverse_cumulative(sc.params["v"] * ival.total))
     u = sample_on_cells(spec.fn(), ival.cumulative, r1,
                         n_cells=sc.params["n"])
@@ -574,12 +559,10 @@ def _run_poisson(sc: Scenario, budget: Budget):
 def _run_talenti(sc: Scenario, budget: Budget):
     params = sc.params
     spec = params["f"]
-    if params["a"] > 0.0:
-        space, label = _space_for(params), "cap"
-    else:
-        space, label = _model_interval(params["K"], params["N"]), "model"
-    inst = ProblemInstance(space=space, p=params["p"], f=spec.fn(),
-                           v=params["v"], label=label, f_knots=spec.knots)
+    label = "cap" if params["a"] > 0.0 else "model"
+    inst = ProblemInstance(space=_space_for(params), p=params["p"],
+                           f=spec.fn(), v=params["v"], label=label,
+                           f_knots=spec.knots)
     rep = run_comparison(inst, r_list=params["r_list"], n_check=params["n"])
     checks = [
         _check("pointwise", budget(1e-8) + rep.grid_bound
@@ -719,17 +702,19 @@ def _run_sweep(sc: Scenario, budget: Budget):
         seed = u.lam  # eigenvalues grow with the shift; reuse as bracket hint
         alpha = alpha_from_lambda(model, p, u.lam, v)
         z = model_eigenpair(K, N, p, alpha)
-        delta = stability_deficit(u, z, p, params["Q"])
+        per_q = stability_deficits(u, z, p, params["Q"])
+        delta = max(per_q)
         deltas.append(delta)
-        rows.append((a, model.L - cap.length, delta))
+        rows.append((a, model.L - cap.length, delta, u.lam, alpha, *per_q))
     rho = float(spearmanr(np.asarray(params["a_list"]),
                           np.asarray(deltas))[0])
     checks = [
         _check("deficit-nonnegative", float(np.min(deltas))),
         _check("monotone-spearman", rho - 1.0 + budget(1e-12)),
     ]
-    return checks, [(f"{sc.name}.csv",
-                     ("a", "diameter_deficit", "delta"), rows)]
+    header = ("a", "diameter_deficit", "delta", "lambda", "alpha",
+              *(f"delta_q{_fmt(q)}" for q in params["Q"]))
+    return checks, [(f"{sc.name}.csv", header, rows)]
 
 
 _RUNNERS = {

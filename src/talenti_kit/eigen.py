@@ -18,14 +18,16 @@ regula-falsi loop with bisection fallback finds it from a bracket.
 The remaining routines compare an instance eigenpair against the model
 one: eigenvalue domination, the single-crossing ordering of the
 symmetrized eigenfunction, reverse Hoelder norm ratios and the norm
-deficit used as a closeness diagnostic.  Model eigenpairs are memoized
-per (K, N, p, v) in plain per-process dicts; concurrent suites at worst
-duplicate a solve.
+deficit used as a closeness diagnostic.  Model eigenpairs are solved on
+the shared model_for segment and memoized per (K, N, p, v) in a
+lock-guarded cache that evicts the oldest pair beyond _PAIR_CACHE_MAX
+entries; concurrent suites at worst duplicate a solve.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,13 +45,8 @@ from .errors import (
     NoCrossing,
     NonConvergence,
 )
-from .model_space import ModelSpace
-from .radial_poisson import (
-    RadialProblem,
-    RadialSolution,
-    WeightedInterval,
-    power_signed,
-)
+from .model_space import ModelSpace, WeightedInterval
+from .radial_poisson import RadialProblem, RadialSolution, power_signed
 from .talenti_check import model_for
 
 _ATOL = (1e-14, 1e-18)
@@ -338,22 +335,24 @@ def first_eigenpair(space: WeightedInterval, v: float, p: float,
                      normalization=("sup", 1.0))
 
 
+# a sweep shift adds about six pairs (one per trial alpha), so the cap
+# holds dozens of scenarios; each pair keeps about 50 KB of profile
+_PAIR_CACHE_MAX = 256
 _PAIR_CACHE: dict[tuple, EigenPair] = {}
-_MODEL_IVALS: dict[tuple[float, float], WeightedInterval] = {}
+_PAIR_LOCK = threading.Lock()
 
 
 def model_eigenpair(K: float, N: float, p: float, v: float) -> EigenPair:
     """Memoized first eigenpair of the model segment at mass fraction v."""
     key = (float(K), float(N), float(p), round(float(v), 12))
-    pair = _PAIR_CACHE.get(key)
+    with _PAIR_LOCK:
+        pair = _PAIR_CACHE.get(key)
     if pair is None:
-        mk = (float(K), float(N))
-        ival = _MODEL_IVALS.get(mk)
-        if ival is None:
-            ival = WeightedInterval.from_model(model_for(K, N))
-            _MODEL_IVALS[mk] = ival
-        pair = first_eigenpair(ival, v, p)
-        _PAIR_CACHE[key] = pair
+        pair = first_eigenpair(model_for(K, N), v, p)
+        with _PAIR_LOCK:
+            _PAIR_CACHE[key] = pair
+            while len(_PAIR_CACHE) > _PAIR_CACHE_MAX:
+                del _PAIR_CACHE[next(iter(_PAIR_CACHE))]
     return pair
 
 
@@ -540,16 +539,17 @@ def reverse_holder(u: EigenPair, z: EigenPair, r: float,
 
     p = u.p
     if abs(r - (p - 1.0)) <= 1e-12:
-        delta = _deficit(u, z, p, [t for t in ts if t > p - 1.0 + 1e-12])
+        delta = max(_deficits(u, z, p, [t for t in ts if t > p - 1.0 + 1e-12]),
+                    default=0.0)
     else:
         delta = math.nan
     return HolderReport(t_grid=ts, ratios_instance=ratios_u,
                         ratios_model=ratios_z, delta=delta, r=r)
 
 
-def _deficit(u: EigenPair, z: EigenPair, p: float, ts) -> float:
+def _deficits(u: EigenPair, z: EigenPair, p: float, ts) -> list[float]:
     c = _matched_scale(u, z, p - 1.0)
-    worst = 0.0
+    out = []
     for t in ts:
         a = c * lp_norm(z, t)
         b = lp_norm(u, t)
@@ -557,8 +557,8 @@ def _deficit(u: EigenPair, z: EigenPair, p: float, ts) -> float:
             d = a ** (p - 1.0) - b ** (p - 1.0)
         else:
             d = max(a - b, 0.0) ** (p - 1.0)
-        worst = max(worst, d)
-    return worst
+        out.append(max(0.0, d))
+    return out
 
 
 def stability_deficit(u: EigenPair, z: EigenPair, p: float, Q) -> float:
@@ -570,6 +570,12 @@ def stability_deficit(u: EigenPair, z: EigenPair, p: float, Q) -> float:
     the value grows with the geometric gap in shifted-family sweeps and
     is reported as a diagnostic, not a certified bound.
     """
+    return max(stability_deficits(u, z, p, Q))
+
+
+def stability_deficits(u: EigenPair, z: EigenPair, p: float,
+                       Q) -> tuple[float, ...]:
+    """The deficit of stability_deficit per exponent of Q, each clamped at 0."""
     if not (p > 1.0 and math.isfinite(p)):
         raise InvalidParameter(f"exponent p={p} must exceed 1")
     if abs(u.p - p) > 1e-12 or abs(z.p - p) > 1e-12:
@@ -581,7 +587,7 @@ def stability_deficit(u: EigenPair, z: EigenPair, p: float, Q) -> float:
         raise InvalidParameter("Q must be nonempty")
     if any(t <= p - 1.0 + 1e-12 for t in ts):
         raise InvalidParameter("every exponent in Q must lie strictly above p-1")
-    return max(0.0, _deficit(u, z, p, ts))
+    return tuple(_deficits(u, z, p, ts))
 
 
 def rayleigh_fem(space: WeightedInterval, v: float, p: float,

@@ -11,17 +11,71 @@ inverse and the profile I(v) = h(H^{-1}(v)) are the basic objects the
 rest of the kit symmetrizes against: I(v) is the sharp lower bound for
 the perimeter of a set of mass v in any space with the same curvature
 and dimension bounds.
+
+The model is a WeightedInterval, the positive density on a segment with
+tabulated cumulative mass that every solver takes; shifted caps are
+plain instances of the same type.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import numerics
 from .errors import InvalidParameter, OutOfDomain
+
+
+class WeightedInterval:
+    """Positive density on [0, length] with tabulated cumulative mass.
+
+    cd carries an optional curvature-dimension tag (K, N); densities
+    built from shifted model profiles satisfy the one-dimensional
+    criterion (w^{1/(N-1)})'' + K/(N-1) * w^{1/(N-1)} <= 0, which
+    cd_violation estimates by second differences.
+    """
+
+    def __init__(self, density: Callable, length: float,
+                 cd: tuple[float, float] | None = None,
+                 n_cells: int = 4096) -> None:
+        self._density = density
+        self.length = float(length)
+        self.cd = cd
+        self._table = numerics.MonotoneTable(density, length, n_cells=n_cells)
+        self.total = self._table.total
+
+    def density(self, t):
+        return self._density(t)
+
+    def cumulative(self, t):
+        return self._table.cumulative(t)
+
+    def inverse_cumulative(self, v):
+        return self._table.inverse(v)
+
+    def profile(self, s):
+        """Perimeter of the sublevel interval holding mass s."""
+        return self.density(self.inverse_cumulative(s))
+
+    def cd_violation(self, n_probe: int = 1000) -> float:
+        """Max second-difference residual of the concavity criterion.
+
+        Uses the five-point stencil so the discretization bias stays a
+        few orders below the 1e-8 acceptance band on 10^3 probes.
+        """
+        if self.cd is None:
+            raise InvalidParameter("interval carries no curvature-dimension tag")
+        K, N = self.cd
+        ts = np.linspace(0.0, self.length, n_probe + 4)
+        g = np.asarray(self.density(ts), dtype=float) ** (1.0 / (N - 1.0))
+        h2 = (ts[1] - ts[0]) ** 2
+        second = (-g[:-4] + 16.0 * g[1:-3] - 30.0 * g[2:-2]
+                  + 16.0 * g[3:-1] - g[4:]) / (12.0 * h2)
+        resid = second + (K / (N - 1.0)) * g[2:-2]
+        return float(np.max(resid))
 
 
 @dataclass(frozen=True)
@@ -36,8 +90,12 @@ class ModelConstants:
     gamma2: float
 
 
-class ModelSpace:
-    """Weighted model segment with tabulated cumulative and inverse."""
+class ModelSpace(WeightedInterval):
+    """The model segment: closed-form density, normalized cumulative.
+
+    The cumulative is divided by the table total, so H(L) == 1.0 exactly
+    and total is 1.0; the profile is the inherited I(v) = h(H^{-1}(v)).
+    """
 
     def __init__(self, K: float, N: float, tol: numerics.Tolerance | None = None,
                  n_cells: int = 4096) -> None:
@@ -52,7 +110,9 @@ class ModelSpace:
         tol = tol or numerics.DEFAULT_TOL
         raw = lambda t: np.maximum(np.sin(self._scale * np.asarray(t)), 0.0) ** (N - 1.0)
         self.c = numerics.integrate(raw, 0.0, self.L, tol)
-        self._table = numerics.MonotoneTable(self.density, self.L, n_cells=n_cells)
+        super().__init__(self.density, self.L, cd=(self.K, self.N),
+                         n_cells=n_cells)
+        self.total = 1.0
 
     def __repr__(self) -> str:
         return f"ModelSpace(K={self.K}, N={self.N}, L={self.L:.6g})"
@@ -85,9 +145,7 @@ class ModelSpace:
         out = self._table.inverse(np.clip(arr, 0.0, 1.0) * self._table.total)
         return out if np.ndim(v) else float(out[0])
 
-    def isoperimetric_profile(self, v):
-        """I(v) = h(H^{-1}(v)), the model perimeter of a ball of mass v."""
-        return self.density(self.inverse_cumulative(v))
+    isoperimetric_profile = WeightedInterval.profile
 
     def constants(self) -> ModelConstants:
         gamma1 = self._scale ** (self.N - 1.0) / self.c

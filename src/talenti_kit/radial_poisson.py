@@ -32,7 +32,7 @@ from .errors import (
     InvalidParameter,
     NegativeData,
 )
-from .model_space import ModelSpace
+from .model_space import WeightedInterval
 from .rearrangement import StepFunction
 
 
@@ -40,65 +40,6 @@ def power_signed(x, e: float):
     """sign(x) * |x|**e, the odd power used by the p-Laplacian flux."""
     arr = np.asarray(x, dtype=float)
     return np.sign(arr) * np.abs(arr) ** e
-
-
-class WeightedInterval:
-    """Positive density on [0, length] with tabulated cumulative mass.
-
-    cd carries an optional curvature-dimension tag (K, N); densities
-    built from shifted model profiles satisfy the one-dimensional
-    criterion (w^{1/(N-1)})'' + K/(N-1) * w^{1/(N-1)} <= 0, which
-    cd_violation estimates by second differences.
-    """
-
-    def __init__(self, density: Callable, length: float,
-                 cd: tuple[float, float] | None = None,
-                 n_cells: int = 4096) -> None:
-        self._density = density
-        self.length = float(length)
-        self.cd = cd
-        self._table = numerics.MonotoneTable(density, length, n_cells=n_cells)
-        self.total = self._table.total
-
-    @classmethod
-    def from_model(cls, model: ModelSpace) -> "WeightedInterval":
-        out = cls.__new__(cls)
-        out._density = model.density
-        out.length = model.L
-        out.cd = (model.K, model.N)
-        out._table = model._table
-        out.total = model._table.total
-        return out
-
-    def density(self, t):
-        return self._density(t)
-
-    def cumulative(self, t):
-        return self._table.cumulative(t)
-
-    def inverse_cumulative(self, v):
-        return self._table.inverse(v)
-
-    def profile(self, s):
-        """Perimeter of the sublevel interval holding mass s."""
-        return self.density(self.inverse_cumulative(s))
-
-    def cd_violation(self, n_probe: int = 1000) -> float:
-        """Max second-difference residual of the concavity criterion.
-
-        Uses the five-point stencil so the discretization bias stays a
-        few orders below the 1e-8 acceptance band on 10^3 probes.
-        """
-        if self.cd is None:
-            raise InvalidParameter("interval carries no curvature-dimension tag")
-        K, N = self.cd
-        ts = np.linspace(0.0, self.length, n_probe + 4)
-        g = np.asarray(self.density(ts), dtype=float) ** (1.0 / (N - 1.0))
-        h2 = (ts[1] - ts[0]) ** 2
-        second = (-g[:-4] + 16.0 * g[1:-3] - 30.0 * g[2:-2]
-                  + 16.0 * g[3:-1] - g[4:]) / (12.0 * h2)
-        resid = second + (K / (N - 1.0)) * g[2:-2]
-        return float(np.max(resid))
 
 
 @dataclass(frozen=True)

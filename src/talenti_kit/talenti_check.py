@@ -30,11 +30,10 @@ from .errors import (
     InvalidParameter,
     InvalidShift,
 )
-from .model_space import ModelSpace, make_model
+from .model_space import ModelSpace, WeightedInterval, make_model
 from .radial_poisson import (
     RadialProblem,
     RadialSolution,
-    WeightedInterval,
     gradient_norm,
     solve_explicit,
 )
@@ -44,11 +43,16 @@ _MODELS: dict[tuple[float, float], ModelSpace] = {}
 
 
 def model_for(K: float, N: float) -> ModelSpace:
-    """Shared, lazily built model space for a curvature-dimension pair."""
+    """Shared, lazily built model space for a curvature-dimension pair.
+
+    The kit's only model cache; threads that miss at once may both build,
+    but all get the stored object.
+    """
     key = (float(K), float(N))
-    if key not in _MODELS:
-        _MODELS[key] = make_model(*key)
-    return _MODELS[key]
+    model = _MODELS.get(key)
+    if model is None:
+        model = _MODELS.setdefault(key, make_model(*key))
+    return model
 
 
 def make_shifted_cap(K: float, N: float, shift: float,
@@ -278,12 +282,11 @@ def run_comparison(inst: ProblemInstance,
     F_at = _source_cumulative(inst, u, step)
 
     model = inst.model
-    miv = WeightedInterval.from_model(model)
     r_v = inst.model_radius
     fstar = lambda x: fsharp_at(model.cumulative(x))
     star_knots = tuple(float(model.inverse_cumulative(s))
                        for s in knot_masses if 0.0 < s < inst.v)
-    prob_w = RadialProblem(miv, p, fstar, r_v, f_knots=star_knots)
+    prob_w = RadialProblem(model, p, fstar, r_v, f_knots=star_knots)
     # the model mass of f* is F(H(rho)) exactly, so the model solve can
     # skip re-integrating the composed source
     mass_w = lambda rho: F_at(model.cumulative(rho))

@@ -67,7 +67,7 @@ def model_reports():
     out = []
     for N, p, ftext in MODEL_CASES:
         spec = _source(ftext)
-        ival = cli._model_interval(N - 1.0, float(N))
+        ival = model_for(N - 1.0, float(N))
         inst = ProblemInstance(space=ival, p=p, f=spec.fn(), v=0.5,
                                label="model", f_knots=spec.knots)
         start = time.perf_counter()
@@ -97,7 +97,7 @@ def poisson_set():
     """Solved problems on model and cap: both sources are exact steps in
     mass coordinates, so the identity check of criterion 3 has no
     sampling error of its own."""
-    spaces = [("model", cli._model_interval(2.0, 3.0), 0.5),
+    spaces = [("model", model_for(2.0, 3.0), 0.5),
               ("cap", make_shifted_cap(2.0, 3.0, 0.3, 0.4), 0.4)]
     out = []
     for label, space, v in spaces:
@@ -117,7 +117,7 @@ def eigen_suite():
     """Eigen pipeline over the cap grid plus model self-comparisons."""
     caps, models = [], []
     model = model_for(2.0, 3.0)
-    ival = cli._model_interval(2.0, 3.0)
+    ival = model_for(2.0, 3.0)
     for p in EIGEN_PS:
         r = p - 1.0
         grid = (r, 2.0 * r, 5.0 * r)
@@ -185,7 +185,7 @@ def test_criterion_03_gradient_identity(poisson_set):
 def test_criterion_04_eigen_anchor():
     worst_lam = worst_cos = slowest = 0.0
     for N in (3, 4, 5):
-        ival = cli._model_interval(N - 1.0, float(N))
+        ival = model_for(N - 1.0, float(N))
         start = time.perf_counter()
         pair = first_eigenpair(ival, 0.5, 2.0)
         slowest = max(slowest, time.perf_counter() - start)
@@ -254,7 +254,7 @@ def test_criterion_08_rearrangement():
     # a radial nonincreasing source is its own symmetrization, so the
     # sampled route is judged against the function it started from
     spec = _source("cospos")
-    ival = cli._model_interval(2.0, 3.0)
+    ival = model_for(2.0, 3.0)
     r1 = float(ival.inverse_cumulative(0.7 * ival.total))
     sampled = sample_on_cells(spec.fn(), ival.cumulative, r1, n_cells=8192)
     sym = schwarz_symmetrize(sampled, model_for(2.0, 3.0))

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from talenti_kit import cli
+from talenti_kit import cli, errors
 from talenti_kit.cli import (
     Budget,
     ParseError,
@@ -26,6 +26,7 @@ from talenti_kit.cli import (
     parse_scenarios_text,
     suite_scenarios,
 )
+from talenti_kit.talenti_check import model_for
 
 MIXED = """\
 [probe]
@@ -171,7 +172,7 @@ class TestSourceSpec:
         assert not spec.nonincreasing and spec.step_exact
 
     def test_mass_step_integral_exact(self):
-        ival = cli._model_interval(2.0, 3.0)
+        ival = model_for(2.0, 3.0)
         spec = cli._parse_source("s", "twolevel 2 0.5 0.3")
         r1 = 1.1
         step = spec.mass_step(ival, r1)
@@ -184,14 +185,18 @@ class TestSourceSpec:
         assert step.integral(ball + 0.1) == step.integral(ball)
 
     def test_mass_step_split_outside_ball(self):
-        ival = cli._model_interval(2.0, 3.0)
+        ival = model_for(2.0, 3.0)
         spec = cli._parse_source("s", "twolevel 2 0.5 3")
         step = spec.mass_step(ival, 1.0)
         ball = float(ival.cumulative(1.0))
         assert step.integral(ball) == pytest.approx(2.0 * ball, rel=1e-15)
 
+    def test_model_space_is_the_shared_model(self):
+        params = {"K": 2.0, "N": 3.0, "p": 2.0, "v": 0.4, "a": 0.0}
+        assert cli._space_for(params) is model_for(2.0, 3.0)
+
     def test_mass_step_refuses_smooth_source(self):
-        ival = cli._model_interval(2.0, 3.0)
+        ival = model_for(2.0, 3.0)
         spec = cli._parse_source("s", "cospos")
         with pytest.raises(ValueError):
             spec.mass_step(ival, 1.0)
@@ -420,11 +425,22 @@ class TestMixedRun:
     def test_sweep_table_monotone(self, mixed_run):
         _, out = mixed_run
         header, rows = read_csv(out / "sweep.csv")
-        assert header == ["a", "diameter_deficit", "delta"]
+        assert header == ["a", "diameter_deficit", "delta", "lambda",
+                          "alpha", "delta_q2", "delta_q4"]
         deltas = [float(r[2]) for r in rows]
         assert len(deltas) == 3
         assert deltas == sorted(deltas)
         assert deltas[0] >= 0.0
+
+    def test_sweep_per_q_columns(self, mixed_run):
+        _, out = mixed_run
+        _, rows = read_csv(out / "sweep.csv")
+        for row in rows:
+            lam, alpha, *per_q = map(float, row[3:])
+            assert float(row[2]) == max(per_q)
+            assert lam > 0.0 and 0.0 < alpha <= 0.4
+        lams = [float(r[3]) for r in rows]
+        assert lams == sorted(lams)
 
     def test_holder_tables(self, mixed_run):
         _, out = mixed_run
@@ -505,6 +521,12 @@ class TestExitCodes:
         assert main(["run", str(ini), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "v = 1.2" in err and "bad" in err
+
+    def test_parse_error_is_the_library_type(self, tmp_path):
+        assert cli.ParseError is errors.ParseError
+        ini = tmp_path / "bad.ini"
+        ini.write_text("[bad]\nkind = eigen\nK = 2\nN = 3\np = x\n")
+        assert main(["run", str(ini), "--out", str(tmp_path / "o")]) == 2
 
     def test_missing_file_is_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.ini"),

@@ -164,7 +164,7 @@ class TestFemCrossCheck:
         assert rayleigh_fem(cap, 0.4, p) == pytest.approx(lam, rel=1e-3)
 
     def test_model_case(self):
-        fem = rayleigh_fem(WeightedInterval.from_model(model_for(2.0, 3.0)),
+        fem = rayleigh_fem(model_for(2.0, 3.0),
                            0.5, 2.0)
         assert fem == pytest.approx(3.0, rel=1e-4)
 
@@ -390,3 +390,32 @@ class TestPropertySweep:
         assert pair.z_at(0.0) == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(pair.sol.w) <= 1e-12)
         assert abs(pair.rayleigh() - pair.lam) <= 1e-6 * pair.lam
+
+
+class TestModelPairCache:
+    def test_pair_lives_on_the_shared_model(self):
+        assert model_eigenpair(2.0, 3.0, 2.0, 0.4).space is model_for(2.0, 3.0)
+
+    def test_cache_stays_within_its_cap(self, monkeypatch):
+        solved = []
+
+        def fake_solve(space, v, p):
+            solved.append(v)
+            return ("pair", v)
+
+        monkeypatch.setattr(eigen, "_PAIR_CACHE", {})
+        monkeypatch.setattr(eigen, "_PAIR_CACHE_MAX", 3)
+        monkeypatch.setattr(eigen, "first_eigenpair", fake_solve)
+        vs = [0.1 + 0.05 * k + 1e-14 for k in range(6)]
+        for v in vs:
+            assert model_eigenpair(2.0, 3.0, 2.0, v) == ("pair", v)
+            assert len(eigen._PAIR_CACHE) <= 3
+        # a miss solves at the unrounded v; the three newest are hits
+        assert solved == vs
+        for v in vs[-3:]:
+            model_eigenpair(2.0, 3.0, 2.0, v)
+        assert solved == vs
+        # the oldest entry goes first
+        model_eigenpair(2.0, 3.0, 2.0, 0.9)
+        keys = [key[3] for key in eigen._PAIR_CACHE]
+        assert keys == [round(vs[4], 12), round(vs[5], 12), 0.9]

@@ -138,3 +138,19 @@ class TestValidation:
     def test_inverse_domain_guard(self, ms23):
         with pytest.raises(OutOfDomain):
             ms23.inverse_cumulative(1.5)
+
+
+class TestOneModelObject:
+    def test_model_is_a_weighted_interval(self):
+        from talenti_kit.model_space import WeightedInterval
+        from talenti_kit.talenti_check import model_for
+        model = model_for(2, 3)
+        assert isinstance(model, WeightedInterval)
+        assert model.cd == (2.0, 3.0)
+        assert model.total == 1.0
+        assert model.cumulative(model.L) == 1.0
+        assert model.length == model.L
+
+    def test_profile_is_the_isoperimetric_profile(self, ms23):
+        vs = np.linspace(0.05, 0.95, 7)
+        assert np.array_equal(ms23.profile(vs), ms23.isoperimetric_profile(vs))

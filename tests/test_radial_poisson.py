@@ -35,7 +35,7 @@ from talenti_kit.rearrangement import StepFunction
 
 @pytest.fixture(scope="module")
 def model23():
-    return WeightedInterval.from_model(make_model(2.0, 3.0))
+    return make_model(2.0, 3.0)
 
 
 @pytest.fixture(scope="module")

@@ -43,7 +43,7 @@ ZEROS = lambda t: np.zeros_like(np.asarray(t, dtype=float))
 
 @pytest.fixture(scope="module")
 def model_interval():
-    return WeightedInterval.from_model(model_for(2.0, 3.0))
+    return model_for(2.0, 3.0)
 
 
 @pytest.fixture(scope="module")
