@@ -11,17 +11,24 @@ turns this into the first-order system
 
     z' = sign(m) |m / w|^{1/(p-1)},    m' = -lam * w * Phi_p(z),
 
-whose first zero moves continuously and monotonically with lam, so the
-eigenvalue is the unique lam placing that zero exactly at r_v; a
-regula-falsi loop with bisection fallback finds it from a bracket.
+whose first zero moves continuously and strictly decreasingly with lam
+(Elbert 1979), so the eigenvalue is the unique lam placing that zero
+exactly at r_v; a regula-falsi loop with bisection fallback finds it
+from a bracket.  The same monotonicity inverts the model eigenvalue
+curve v -> lambda(v) in one integration: the model ball whose first
+eigenvalue is a given lam ends at the first zero of the model solution
+shot at that lam, so alpha_from_lambda needs no search over masses.
+The RHS reads the density one scalar at a time; model and cap densities
+answer a float argument through math.sin without array setup.
 
 The remaining routines compare an instance eigenpair against the model
 one: eigenvalue domination, the single-crossing ordering of the
 symmetrized eigenfunction, reverse Hoelder norm ratios and the norm
 deficit used as a closeness diagnostic.  Model eigenpairs are solved on
-the shared model_for segment and memoized per (K, N, p, v) in a
+the shared model_for segment and memoized per exact (K, N, p, v) in a
 lock-guarded cache that evicts the oldest pair beyond _PAIR_CACHE_MAX
-entries; concurrent suites at worst duplicate a solve.
+entries; the exact key keeps a pair independent of which caller solved
+it first, and concurrent suites at worst duplicate a solve.
 """
 
 from __future__ import annotations
@@ -335,8 +342,9 @@ def first_eigenpair(space: WeightedInterval, v: float, p: float,
                      normalization=("sup", 1.0))
 
 
-# a sweep shift adds about six pairs (one per trial alpha), so the cap
-# holds dozens of scenarios; each pair keeps about 50 KB of profile
+# a holder scenario or a sweep shift adds one pair (the model at its
+# alpha), so the cap holds hundreds of them; each pair keeps about 50 KB
+# of profile
 _PAIR_CACHE_MAX = 256
 _PAIR_CACHE: dict[tuple, EigenPair] = {}
 _PAIR_LOCK = threading.Lock()
@@ -344,7 +352,7 @@ _PAIR_LOCK = threading.Lock()
 
 def model_eigenpair(K: float, N: float, p: float, v: float) -> EigenPair:
     """Memoized first eigenpair of the model segment at mass fraction v."""
-    key = (float(K), float(N), float(p), round(float(v), 12))
+    key = (float(K), float(N), float(p), float(v))
     with _PAIR_LOCK:
         pair = _PAIR_CACHE.get(key)
     if pair is None:
@@ -360,9 +368,16 @@ def alpha_from_lambda(model: ModelSpace, p: float, lambda_target: float,
                       v_upper: float, rel: float = 1e-9) -> float:
     """Mass fraction alpha <= v_upper whose model eigenvalue hits the target.
 
-    Uses the strict decrease of v -> lambda(v) and its blowup as v -> 0:
-    halve alpha until the eigenvalue exceeds the target, then regula
-    falsi down to |lambda(alpha) - target| <= rel * target.
+    The first zero of the model shooting solution decreases strictly in
+    lam, so the ball on which lambda_target is the first eigenvalue ends
+    at the first zero r0 of the solution shot at lam = lambda_target,
+    and alpha = H(r0).  One integration on [0, r(v_upper)] finds it; no
+    search over alpha and no model eigenpair solve besides the cached
+    one at v_upper, which decides the cases below.  A target within
+    rel * target of lambda(v_upper), or under it by less than the
+    relative gate, returns v_upper; a target further below raises
+    NoBracket, and a solution with no zero inside r(v_upper) raises
+    NonConvergence.
     """
     if not (p > 1.0 and math.isfinite(p)):
         raise InvalidParameter(f"exponent p={p} must exceed 1")
@@ -371,8 +386,7 @@ def alpha_from_lambda(model: ModelSpace, p: float, lambda_target: float,
     if not (lambda_target > 0.0 and math.isfinite(lambda_target)):
         raise InvalidParameter("lambda_target must be positive and finite")
 
-    lamf = lambda a: model_eigenpair(model.K, model.N, p, a).lam
-    lam_up = lamf(v_upper)
+    lam_up = model_eigenpair(model.K, model.N, p, v_upper).lam
     gate = max(1e-6 * lambda_target, 1e-9)
     if lambda_target < lam_up - gate:
         raise NoBracket(
@@ -382,37 +396,13 @@ def alpha_from_lambda(model: ModelSpace, p: float, lambda_target: float,
     if lambda_target <= lam_up or abs(lam_up - lambda_target) <= rel * lambda_target:
         return v_upper
 
-    a_lo = a_hi = v_upper
-    f_lo = f_hi = lam_up - lambda_target
-    n = 0
-    while f_lo < 0.0:
-        a_hi, f_hi = a_lo, f_lo
-        a_lo *= 0.5
-        f_lo = lamf(a_lo) - lambda_target
-        n += 1
-        if n > 60:
-            raise NonConvergence(
-                "model eigenvalue failed to exceed the target as mass shrank")
-
-    side = 0
-    for _ in range(80):
-        if a_hi - a_lo <= 1e-13:
-            break
-        alpha = (a_lo * f_hi - a_hi * f_lo) / (f_hi - f_lo)
-        if not (a_lo < alpha < a_hi):
-            alpha = 0.5 * (a_lo + a_hi)
-        f = lamf(alpha) - lambda_target
-        if abs(f) <= rel * lambda_target:
-            return float(alpha)
-        if f > 0.0:
-            if side > 0:
-                f_hi *= 0.5
-            a_lo, f_lo, side = alpha, f, 1
-        else:
-            if side < 0:
-                f_lo *= 0.5
-            a_hi, f_hi, side = alpha, f, -1
-    return float(0.5 * (a_lo + a_hi))
+    r_up = float(model.inverse_cumulative(v_upper))
+    r0 = _first_zero(model, p, lambda_target, 1e-6 * r_up, r_up, 1e-11)
+    if not math.isfinite(r0):
+        raise NonConvergence(
+            f"model solution at lambda={lambda_target:.6g} has no zero "
+            f"inside the ball of mass v_upper={v_upper}")
+    return float(model.cumulative(r0))
 
 
 def faber_krahn_check(space: WeightedInterval, v: float,

@@ -119,8 +119,16 @@ class ModelSpace(WeightedInterval):
 
     def density(self, t):
         """Normalized density h(t); zero at both endpoints by continuity."""
-        arr = np.atleast_1d(np.asarray(t, dtype=float))
         slack = 1e-12 * self.L
+        if isinstance(t, float):
+            # scalar path for the shooting RHS: math.sin, no array setup
+            if t < -slack or t > self.L + slack:
+                raise OutOfDomain(f"density argument outside [0, {self.L}]")
+            if t >= self.L:
+                return 0.0
+            s = math.sin(self._scale * max(t, 0.0))
+            return max(s, 0.0) ** (self.N - 1.0) / self.c
+        arr = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(arr < -slack) or np.any(arr > self.L + slack):
             raise OutOfDomain(f"density argument outside [0, {self.L}]")
         clipped = np.clip(arr, 0.0, self.L)

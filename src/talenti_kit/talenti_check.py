@@ -74,6 +74,10 @@ def make_shifted_cap(K: float, N: float, shift: float,
     expo = N - 1.0
 
     def raw(t):
+        if isinstance(t, float):
+            if t >= length:
+                return 0.0
+            return max(math.sin(scale * (t + shift)), 0.0) ** expo
         arr = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.maximum(np.sin(scale * (arr + shift)), 0.0) ** expo
         out[arr >= length] = 0.0  # sin(pi) rounds to ~1e-16, pin the limit

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from talenti_kit import cli, errors
+from talenti_kit import cli, eigen, errors
 from talenti_kit.cli import (
     Budget,
     ParseError,
@@ -511,6 +511,34 @@ class TestDeterminism:
         sa = (a / "summary.record").read_text()
         sb = (b / "summary.record").read_text()
         assert sa == sb
+
+
+class TestCallOrder:
+    """A scenario's tables do not depend on what ran before it."""
+
+    HOLDER = ("[hold]\nkind = holder\nK = 2\nN = 3\np = 2\nv = 0.4\n"
+              "a = 0.3\n\n")
+    SWEEP = ("[sweep]\nkind = stability-sweep\nK = 2\nN = 3\np = 2\n"
+             "v = 0.4\na_list = 0.1 0.2 0.3 0.4\nQ = 2 4\n")
+
+    def _sweep_csv(self, base, tag, text, monkeypatch, jobs=1):
+        # each run starts from an empty model eigenpair cache
+        monkeypatch.setattr(eigen, "_PAIR_CACHE", {})
+        ini = base / f"{tag}.ini"
+        ini.write_text(text)
+        main(["run", str(ini), "--out", str(base / tag),
+              "--jobs", str(jobs)])
+        return (base / tag / "sweep.csv").read_bytes()
+
+    def test_sweep_after_holder_matches_sweep_alone(self, tmp_path,
+                                                    monkeypatch):
+        alone = self._sweep_csv(tmp_path, "alone", self.SWEEP, monkeypatch)
+        after = self._sweep_csv(tmp_path, "after", self.HOLDER + self.SWEEP,
+                                monkeypatch)
+        both = self._sweep_csv(tmp_path, "jobs2", self.HOLDER + self.SWEEP,
+                               monkeypatch, jobs=2)
+        assert after == alone
+        assert both == alone
 
 
 class TestExitCodes:

@@ -21,6 +21,7 @@ from talenti_kit.errors import (
     InvalidParameter,
     NoBracket,
     NoCrossing,
+    NonConvergence,
 )
 from talenti_kit.eigen import (
     EigenPair,
@@ -189,6 +190,36 @@ class TestAlphaFromLambda:
         lam_up = model_eigenpair(2.0, 3.0, 2.0, 0.7).lam
         with pytest.raises(NoBracket):
             alpha_from_lambda(model_for(2.0, 3.0), 2.0, 0.5 * lam_up, 0.7)
+
+    def test_one_integration_no_eigenpair_solve(self, monkeypatch):
+        lam_up = model_eigenpair(2.0, 3.0, 2.0, 0.6).lam
+        calls = []
+        real = eigen.first_eigenpair
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(eigen, "first_eigenpair", counting)
+        alpha = alpha_from_lambda(model_for(2.0, 3.0), 2.0, 1.5 * lam_up, 0.6)
+        assert 0.0 < alpha < 0.6
+        assert calls == []
+
+    @pytest.mark.parametrize("a", [0.05, 0.3])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_model_eigenvalue_hits_cap_target(self, p, a):
+        cap = make_shifted_cap(2.0, 3.0, a, 0.4)
+        target = first_eigenpair(
+            cap, 0.4, p, seed=model_eigenpair(2.0, 3.0, p, 0.4).lam).lam
+        alpha = alpha_from_lambda(model_for(2.0, 3.0), p, target, 0.4)
+        lam = model_eigenpair(2.0, 3.0, p, alpha).lam
+        assert abs(lam - target) <= 1e-11 * target
+
+    def test_no_zero_inside_raises(self, monkeypatch):
+        lam_up = model_eigenpair(2.0, 3.0, 2.0, 0.6).lam
+        monkeypatch.setattr(eigen, "_first_zero", lambda *args: math.inf)
+        with pytest.raises(NonConvergence):
+            alpha_from_lambda(model_for(2.0, 3.0), 2.0, 2.0 * lam_up, 0.6)
 
 
 class TestFaberKrahn:
@@ -418,4 +449,4 @@ class TestModelPairCache:
         # the oldest entry goes first
         model_eigenpair(2.0, 3.0, 2.0, 0.9)
         keys = [key[3] for key in eigen._PAIR_CACHE]
-        assert keys == [round(vs[4], 12), round(vs[5], 12), 0.9]
+        assert keys == [vs[4], vs[5], 0.9]

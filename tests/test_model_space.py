@@ -154,3 +154,39 @@ class TestOneModelObject:
     def test_profile_is_the_isoperimetric_profile(self, ms23):
         vs = np.linspace(0.05, 0.95, 7)
         assert np.array_equal(ms23.profile(vs), ms23.isoperimetric_profile(vs))
+
+
+def _ulps(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b)))
+
+
+class TestScalarDensity:
+    """A float argument takes the math.sin branch; it must match arrays."""
+
+    @pytest.mark.parametrize("K,N", [(2.0, 3.0), (3.0, 4.0)])
+    def test_model_scalar_matches_array(self, K, N):
+        model = make_model(K, N)
+        ts = np.linspace(0.0, model.L, 1000)
+        scalar = [model.density(float(t)) for t in ts]
+        assert all(isinstance(x, float) for x in scalar)
+        assert np.max(_ulps(scalar, model.density(ts))) <= 4.0
+        assert scalar[0] == 0.0 and scalar[-1] == 0.0
+
+    @pytest.mark.parametrize("K,N,a", [(2.0, 3.0, 0.3), (3.0, 4.0, 0.2)])
+    def test_cap_scalar_matches_array(self, K, N, a):
+        from talenti_kit.talenti_check import make_shifted_cap
+        cap = make_shifted_cap(K, N, a)
+        ts = np.linspace(0.0, cap.length, 1000)
+        scalar = [cap.density(float(t)) for t in ts]
+        assert np.max(_ulps(scalar, cap.density(ts))) <= 4.0
+        assert scalar[-1] == 0.0
+
+    def test_scalar_domain_guard(self, ms23):
+        slack = 1e-12 * ms23.L
+        for t in (-10.0 * slack, ms23.L + 10.0 * slack, np.float64(-0.5)):
+            with pytest.raises(OutOfDomain):
+                ms23.density(t)
+        # inside the slack the endpoints read as zero, as for arrays
+        assert ms23.density(-0.5 * slack) == 0.0
+        assert ms23.density(ms23.L + 0.5 * slack) == 0.0
