@@ -56,8 +56,8 @@ from .radial_poisson import (RadialProblem, gradient_norm, gradient_norm_mass,
                              solve_explicit, solve_mass_form, weak_residual)
 from .rearrangement import StepFunction, decreasing_rearrangement, lp_norm, \
     sample_on_cells
-from .sobolev_embed import c1_constant, check_embedding, \
-    embedding_constants, is_divergent
+from .sobolev_embed import check_embedding, embedding_constants, \
+    is_divergent
 from .talenti_check import ProblemInstance, make_shifted_cap, model_for, \
     run_comparison
 
@@ -353,6 +353,21 @@ class Scenario:
     params: dict
 
 
+# tables a kind writes after <name>.csv, by file-name suffix
+_EXTRA_TABLES = {
+    "eigen": ("-spectrum",),
+    "holder": ("-chiti",),
+    "sobolev": ("-check",),
+}
+
+
+def _table_files(sc: Scenario) -> list[str]:
+    """CSV file names of a scenario, in the order its runner returns
+    the tables."""
+    return [f"{sc.name}{sfx}.csv"
+            for sfx in ("", *_EXTRA_TABLES.get(sc.kind, ()))]
+
+
 def _echo(params: dict):
     """Record lines for the parameter block, in parse order."""
     for key, val in params.items():
@@ -399,8 +414,16 @@ def parse_scenarios_text(text: str, source: str) -> list[Scenario]:
         raise ParseError(f"{source}: [DEFAULT] sections are not supported")
     if not cp.sections():
         raise ParseError(f"{source}: no scenario sections found")
-    return [_parse_scenario(name, dict(cp.items(name)))
-            for name in cp.sections()]
+    scenarios = [_parse_scenario(name, dict(cp.items(name)))
+                 for name in cp.sections()]
+    owner: dict[str, str] = {}
+    for sc in scenarios:
+        for fname in (f"{sc.name}.record", *_table_files(sc)):
+            other = owner.setdefault(fname, sc.name)
+            if other != sc.name:
+                raise ParseError(f"[{sc.name}]: output file {fname} is "
+                                 f"also written by [{other}]")
+    return scenarios
 
 
 def load_scenarios(path) -> list[Scenario]:
@@ -494,7 +517,7 @@ def _run_model_probe(sc: Scenario, budget: Budget):
         _check("radius-monotone", float(np.min(np.diff(radii)))),
     ]
     rows = list(zip(vs, radii, prof))
-    return checks, [(f"{sc.name}.csv", ("v", "radius", "profile"), rows)]
+    return checks, [(("v", "radius", "profile"), rows)]
 
 
 def _run_symmetrize(sc: Scenario, budget: Budget):
@@ -523,8 +546,7 @@ def _run_symmetrize(sc: Scenario, budget: Budget):
     for i, lv in enumerate(map(float, step.levels)):
         right = edges[i + 1] if i + 1 < len(edges) else None
         rows.append((edges[i], right, lv))
-    return checks, [(f"{sc.name}.csv",
-                     ("mass_left", "mass_right", "level"), rows)]
+    return checks, [(("mass_left", "mass_right", "level"), rows)]
 
 
 def _run_poisson(sc: Scenario, budget: Budget):
@@ -553,7 +575,7 @@ def _run_poisson(sc: Scenario, budget: Budget):
             checks.append(_check("route-agreement",
                                  budget(1e-7) * scale - gap))
     rows = list(zip(sol.grid, sol.w, sol.wprime))
-    return checks, [(f"{sc.name}.csv", ("rho", "w", "wprime"), rows)]
+    return checks, [(("rho", "w", "wprime"), rows)]
 
 
 def _run_talenti(sc: Scenario, budget: Budget):
@@ -585,7 +607,7 @@ def _run_talenti(sc: Scenario, budget: Budget):
     for r, (lhs, rhs) in rep.gradient_gaps.items():
         rows.append((f"gradient_lhs_r{_fmt(r)}", lhs))
         rows.append((f"gradient_rhs_r{_fmt(r)}", rhs))
-    return checks, [(f"{sc.name}.csv", ("metric", "value"), rows)]
+    return checks, [(("metric", "value"), rows)]
 
 
 def _run_eigen(sc: Scenario, budget: Budget):
@@ -618,9 +640,8 @@ def _run_eigen(sc: Scenario, budget: Budget):
     rows = list(zip(pair.sol.grid, pair.sol.w, pair.sol.wprime))
     spectrum = [(pair.lam, zm.lam, margin)]
     return checks, [
-        (f"{sc.name}.csv", ("t", "z", "zprime"), rows),
-        (f"{sc.name}-spectrum.csv",
-         ("lambda_instance", "lambda_model", "margin"), spectrum),
+        (("t", "z", "zprime"), rows),
+        (("lambda_instance", "lambda_model", "margin"), spectrum),
     ]
 
 
@@ -649,9 +670,8 @@ def _run_holder(sc: Scenario, budget: Budget):
             for t in rep.t_grid]
     extra = [(alpha, crossing, viol, rep.delta)]
     return checks, [
-        (f"{sc.name}.csv", ("t", "ratio_instance", "ratio_model"), rows),
-        (f"{sc.name}-chiti.csv",
-         ("alpha", "crossing", "violation", "delta"), extra),
+        (("t", "ratio_instance", "ratio_model"), rows),
+        (("alpha", "crossing", "violation", "delta"), extra),
     ]
 
 
@@ -667,26 +687,21 @@ def _run_sobolev(sc: Scenario, budget: Budget):
     emb = check_embedding(prob, sol, s, t)
     vm = float(space.cumulative(r1)) / space.total
     crit = N / p
+    consts = [embedding_constants(K, N, vm, p, si, t)
+              for si in (crit * (1.0 - 1e-3), crit, crit * (1.0 + 1e-3),
+                         2.0 * crit, s)]
+    below, at, above = (is_divergent(row.c1) for row in consts[:3])
     checks = [
         _check("embedding-slack", emb.slack + budget(1e-8)),
-        _gate("critical-below-divergent",
-              is_divergent(c1_constant(K, N, vm, p, crit * (1.0 - 1e-3)))),
-        _gate("critical-at-divergent",
-              is_divergent(c1_constant(K, N, vm, p, crit))),
-        _gate("critical-above-finite",
-              not is_divergent(c1_constant(K, N, vm, p,
-                                           crit * (1.0 + 1e-3)))),
+        _gate("critical-below-divergent", below),
+        _gate("critical-at-divergent", at),
+        _gate("critical-above-finite", not above),
     ]
-    rows = []
-    for si in (crit * (1.0 - 1e-3), crit, crit * (1.0 + 1e-3),
-               2.0 * crit, s):
-        row = embedding_constants(K, N, vm, p, si, t)
-        rows.append((si, t, float(row.c1),
-                     None if row.c2 is None else float(row.c2)))
+    rows = [(row.s, t, float(row.c1),
+             None if row.c2 is None else float(row.c2)) for row in consts]
     return checks, [
-        (f"{sc.name}.csv", ("s", "t", "c1", "c2"), rows),
-        (f"{sc.name}-check.csv", ("lhs", "rhs", "slack"),
-         [(emb.lhs, emb.rhs, emb.slack)]),
+        (("s", "t", "c1", "c2"), rows),
+        (("lhs", "rhs", "slack"), [(emb.lhs, emb.rhs, emb.slack)]),
     ]
 
 
@@ -714,7 +729,7 @@ def _run_sweep(sc: Scenario, budget: Budget):
     ]
     header = ("a", "diameter_deficit", "delta", "lambda", "alpha",
               *(f"delta_q{_fmt(q)}" for q in params["Q"]))
-    return checks, [(f"{sc.name}.csv", header, rows)]
+    return checks, [(header, rows)]
 
 
 _RUNNERS = {
@@ -760,7 +775,7 @@ def _execute(sc: Scenario, scale: float, out_dir: Path) -> RunRecord:
         error = f"{type(exc).__name__}: {' '.join(str(exc).split())}"
     wall = time.perf_counter() - start
     written = []
-    for fname, header, rows in tables:
+    for fname, (header, rows) in zip(_table_files(sc), tables):
         _write_csv(out_dir / fname, header, rows)
         written.append(fname)
     rec = RunRecord(sc.name, sc.kind, sc.params, tuple(checks),

@@ -245,7 +245,7 @@ def _shooting_lambda(space: WeightedInterval, p: float, r_v: float,
 
 
 def first_eigenpair(space: WeightedInterval, v: float, p: float,
-                    n_grid: int = 2048, seed: float | None = None) -> EigenPair:
+                    seed: float | None = None) -> EigenPair:
     """Shooting solve for the first Dirichlet eigenpair at mass fraction v.
 
     v is the fraction of the total mass, so the answer is invariant
@@ -329,7 +329,7 @@ def first_eigenpair(space: WeightedInterval, v: float, p: float,
             val[rest] = -interp(clipped[rest])[1]
         return val if np.ndim(rho) else float(val[0])
 
-    grid = numerics.Grid.cosine(0.0, r_v, n_grid).nodes
+    grid = numerics.Grid.cosine(0.0, r_v, 2048).nodes
     w = np.asarray(z_at(grid), dtype=float)
     raw = interp(grid[(grid > eps) & (grid < r_v)])[0]
     if raw.size and float(np.min(raw)) < -1e-6:
@@ -365,7 +365,7 @@ def model_eigenpair(K: float, N: float, p: float, v: float) -> EigenPair:
 
 
 def alpha_from_lambda(model: ModelSpace, p: float, lambda_target: float,
-                      v_upper: float, rel: float = 1e-9) -> float:
+                      v_upper: float) -> float:
     """Mass fraction alpha <= v_upper whose model eigenvalue hits the target.
 
     The first zero of the model shooting solution decreases strictly in
@@ -374,7 +374,7 @@ def alpha_from_lambda(model: ModelSpace, p: float, lambda_target: float,
     and alpha = H(r0).  One integration on [0, r(v_upper)] finds it; no
     search over alpha and no model eigenpair solve besides the cached
     one at v_upper, which decides the cases below.  A target within
-    rel * target of lambda(v_upper), or under it by less than the
+    1e-9 * target of lambda(v_upper), or under it by less than the
     relative gate, returns v_upper; a target further below raises
     NoBracket, and a solution with no zero inside r(v_upper) raises
     NonConvergence.
@@ -393,7 +393,8 @@ def alpha_from_lambda(model: ModelSpace, p: float, lambda_target: float,
             f"target eigenvalue {lambda_target:.6g} lies below the value "
             f"{lam_up:.6g} at v_upper={v_upper}; no mass in (0, v_upper] "
             "attains it")
-    if lambda_target <= lam_up or abs(lam_up - lambda_target) <= rel * lambda_target:
+    if (lambda_target <= lam_up
+            or abs(lam_up - lambda_target) <= 1e-9 * lambda_target):
         return v_upper
 
     r_up = float(model.inverse_cumulative(v_upper))
@@ -443,8 +444,8 @@ def _matched_scale(u: EigenPair, z: EigenPair, r: float) -> float:
     return lp_norm(u, r) / lp_norm(z, r)
 
 
-def chiti_compare(u: EigenPair, z: EigenPair, r: float,
-                  n_grid: int = 4097) -> tuple[float, float]:
+def chiti_compare(u: EigenPair, z: EigenPair,
+                  r: float) -> tuple[float, float]:
     """Single-crossing comparison of the symmetrized instance eigenfunction.
 
     u is symmetrized onto the model segment underlying z, z is rescaled
@@ -466,7 +467,7 @@ def chiti_compare(u: EigenPair, z: EigenPair, r: float,
 
     c = _matched_scale(u, z, r)
     r_alpha = z.sol.r1
-    x = np.linspace(0.0, r_alpha, n_grid)
+    x = np.linspace(0.0, r_alpha, 4097)
 
     Hm = z.space.cumulative
     inv = u.space.inverse_cumulative
@@ -580,8 +581,7 @@ def stability_deficits(u: EigenPair, z: EigenPair, p: float,
     return tuple(_deficits(u, z, p, ts))
 
 
-def rayleigh_fem(space: WeightedInterval, v: float, p: float,
-                 n_cells: int = 2048, max_iter: int = 800) -> float:
+def rayleigh_fem(space: WeightedInterval, v: float, p: float) -> float:
     """Independent eigenvalue estimate from piecewise-linear elements.
 
     Uniform cells with exact per-cell masses from the cumulative table;
@@ -597,13 +597,11 @@ def rayleigh_fem(space: WeightedInterval, v: float, p: float,
         raise InvalidParameter(f"exponent p={p} must exceed 1")
     if not (0.0 < v < 1.0 and math.isfinite(v)):
         raise InvalidMass(f"mass fraction v={v} must lie in (0, 1)")
-    if n_cells < 16:
-        raise InvalidParameter("need at least 16 cells")
+    n = 2048  # uniform cells; free nodes 0..n-1, node n pinned to zero
     r_v = float(space.inverse_cumulative(v * space.total))
-    nodes = np.linspace(0.0, r_v, n_cells + 1)
+    nodes = np.linspace(0.0, r_v, n + 1)
     wc = np.diff(np.asarray(space.cumulative(nodes), dtype=float))
-    h = r_v / n_cells
-    n = n_cells  # free nodes 0..n-1, node n pinned to zero
+    h = r_v / n
 
     diag_k = np.empty(n)
     diag_k[0] = wc[0]
@@ -635,7 +633,7 @@ def rayleigh_fem(space: WeightedInterval, v: float, p: float,
     num, den, g = quotient(zf)
     R = num / den
     step, stall = 1.0, 0
-    for _ in range(max_iter):
+    for _ in range(800):
         flux = wc * power_signed(g, p - 1.0) / h
         dnum = p * (np.concatenate(([0.0], flux[:-1])) - flux)
         dden = p * ml * power_signed(zf, p - 1.0)

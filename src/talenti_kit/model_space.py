@@ -60,7 +60,7 @@ class WeightedInterval:
         """Perimeter of the sublevel interval holding mass s."""
         return self.density(self.inverse_cumulative(s))
 
-    def cd_violation(self, n_probe: int = 1000) -> float:
+    def cd_violation(self) -> float:
         """Max second-difference residual of the concavity criterion.
 
         Uses the five-point stencil so the discretization bias stays a
@@ -69,7 +69,8 @@ class WeightedInterval:
         if self.cd is None:
             raise InvalidParameter("interval carries no curvature-dimension tag")
         K, N = self.cd
-        ts = np.linspace(0.0, self.length, n_probe + 4)
+        # two extra samples on each side give 10^3 stencil centres
+        ts = np.linspace(0.0, self.length, 1000 + 4)
         g = np.asarray(self.density(ts), dtype=float) ** (1.0 / (N - 1.0))
         h2 = (ts[1] - ts[0]) ** 2
         second = (-g[:-4] + 16.0 * g[1:-3] - 30.0 * g[2:-2]
@@ -97,8 +98,7 @@ class ModelSpace(WeightedInterval):
     and total is 1.0; the profile is the inherited I(v) = h(H^{-1}(v)).
     """
 
-    def __init__(self, K: float, N: float, tol: numerics.Tolerance | None = None,
-                 n_cells: int = 4096) -> None:
+    def __init__(self, K: float, N: float) -> None:
         if not (K > 0.0 and math.isfinite(K)):
             raise InvalidParameter(f"curvature K={K} must be positive")
         if not (N > 1.0 and math.isfinite(N)):
@@ -107,11 +107,9 @@ class ModelSpace(WeightedInterval):
         self.N = float(N)
         self._scale = math.sqrt(K / (N - 1.0))
         self.L = math.pi / self._scale
-        tol = tol or numerics.DEFAULT_TOL
         raw = lambda t: np.maximum(np.sin(self._scale * np.asarray(t)), 0.0) ** (N - 1.0)
-        self.c = numerics.integrate(raw, 0.0, self.L, tol)
-        super().__init__(self.density, self.L, cd=(self.K, self.N),
-                         n_cells=n_cells)
+        self.c = numerics.integrate(raw, 0.0, self.L)
+        super().__init__(self.density, self.L, cd=(self.K, self.N))
         self.total = 1.0
 
     def __repr__(self) -> str:
@@ -159,7 +157,3 @@ class ModelSpace(WeightedInterval):
         gamma1 = self._scale ** (self.N - 1.0) / self.c
         return ModelConstants(gamma1=gamma1, gamma2=gamma1 / self.N)
 
-
-def make_model(K: float, N: float, tol: numerics.Tolerance | None = None) -> ModelSpace:
-    """Build the model segment for a positive curvature bound."""
-    return ModelSpace(K, N, tol=tol)

@@ -118,7 +118,6 @@ def _slope_factory(prob: RadialProblem, mass_at: Callable):
 
 
 def solve_explicit(prob: RadialProblem, n_cells: int = 4096,
-                   tol: numerics.Tolerance | None = None,
                    mass_at: Callable | None = None) -> RadialSolution:
     """Closed-form radial solution via two tabulated cumulatives.
 
@@ -154,7 +153,7 @@ def solve_explicit(prob: RadialProblem, n_cells: int = 4096,
         np.asarray(prob.space.density(prob.r1), dtype=float))[0])
     if prob.space.cd is None or dens_end <= 0.0:
         try:
-            numerics.integrate(slope, 0.0, prob.r1, tol=tol)
+            numerics.integrate(slope, 0.0, prob.r1)
         except Divergence as exc:
             raise IntegrabilityFailure(
                 "slope is not integrable up to r1; no bounded solution "
@@ -177,9 +176,8 @@ def solve_explicit(prob: RadialProblem, n_cells: int = 4096,
                           wprime_at=wprime_at, mass_at=mass_at)
 
 
-def solve_mass_form(prob: RadialProblem, fsharp: StepFunction,
-                    n_probe: int = 128,
-                    tol: numerics.Tolerance | None = None) -> RadialSolution:
+def solve_mass_form(prob: RadialProblem,
+                    fsharp: StepFunction) -> RadialSolution:
     """The same solution evaluated through mass coordinates.
 
     fsharp is the decreasing rearrangement of the source; the solution
@@ -188,7 +186,7 @@ def solve_mass_form(prob: RadialProblem, fsharp: StepFunction,
     interval's own perimeter profile.  Used as the independent route
     for agreement checks against solve_explicit.
     """
-    tol = tol or numerics.Tolerance(rel=1e-9, abs=1e-13)
+    tol = numerics.Tolerance(rel=1e-9, abs=1e-13)
     expo = 1.0 / (prob.p - 1.0)
     space = prob.space
 
@@ -200,7 +198,7 @@ def solve_mass_form(prob: RadialProblem, fsharp: StepFunction,
         out = ratio ** expo / np.maximum(prof, 1e-300)
         return out if np.ndim(sigma) else float(out[0])
 
-    grid = numerics.Grid.cosine(0.0, prob.r1, n_probe).nodes
+    grid = numerics.Grid.cosine(0.0, prob.r1, 128).nodes
     sigmas = np.asarray(space.cumulative(grid), dtype=float)
     pieces = []
     for lo, hi in zip(sigmas[:-1], sigmas[1:]):
@@ -221,8 +219,7 @@ def solve_mass_form(prob: RadialProblem, fsharp: StepFunction,
                           w_at=w_interp, wprime_at=wp_interp, mass_at=mass_at)
 
 
-def weak_residual(sol: RadialSolution, prob: RadialProblem,
-                  n_test: int = 32) -> float:
+def weak_residual(sol: RadialSolution, prob: RadialProblem) -> float:
     """Largest normalized weak-form residual over a family of hat tests.
 
     Hats sit at interior Chebyshev nodes and vanish at r1; each residual
@@ -231,6 +228,7 @@ def weak_residual(sol: RadialSolution, prob: RadialProblem,
     an O(1) perturbation scores above 1e-3.
     """
     p = prob.p
+    n_test = 32
     knots = numerics.Grid.cosine(0.0, prob.r1, n_test + 1).nodes
     density = prob.space.density
     worst = 0.0

@@ -240,7 +240,7 @@ def hardy_littlewood_check(u: SampledFunction, cell_indices) -> tuple[float, flo
     return lhs, rhs
 
 
-def monotone_compose_check(u: SampledFunction, phi, n_probe: int = 257) -> float:
+def monotone_compose_check(u: SampledFunction, phi) -> float:
     """sup |(phi(|u|))^sharp - phi(u^sharp)| over a probe grid.
 
     phi must be strictly increasing and continuous; the two step
@@ -253,7 +253,7 @@ def monotone_compose_check(u: SampledFunction, phi, n_probe: int = 257) -> float
     lhs = decreasing_rearrangement(composed)
     base = decreasing_rearrangement(u)
     total = u.total_measure
-    probes = np.linspace(0.0, total, n_probe)
+    probes = np.linspace(0.0, total, 257)
     probes = np.unique(np.concatenate([probes, lhs.breakpoints, base.breakpoints]))
     probes = probes[(probes >= 0.0) & (probes <= total)]
     rhs_vals = np.asarray(phi(base(probes)), dtype=float)

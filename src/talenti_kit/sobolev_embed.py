@@ -118,6 +118,33 @@ def _power_piece(lo: np.ndarray, hi: float, e: float) -> np.ndarray:
     return out
 
 
+class _Head:
+    """Two-term small-mass expansion kappa xi^(e1-1) + kappa2 xi^(e2-1)
+    of the integrand xi^a / I(xi)^b, integrated in closed form below
+    xi0 = 1e-6 * v (see the module docstring)."""
+
+    def __init__(self, model: ModelSpace, v: float, b: float,
+                 e1: float) -> None:
+        N = model.N
+        gamma2 = model.constants().gamma2
+        self.xi0 = 1e-6 * v
+        self.e1 = e1
+        self.e2 = e1 + 2.0 / N
+        self.kappa = (N * gamma2 ** (1.0 / N)) ** (-b)
+        eta = model.K / (2.0 * (N + 2.0))
+        self.kappa2 = self.kappa * b * eta * gamma2 ** (-2.0 / N)
+
+    def total(self) -> float:
+        """Integral over [0, xi0]; e1 > 0 only."""
+        return (self.kappa * self.xi0**self.e1 / self.e1
+                + self.kappa2 * self.xi0**self.e2 / self.e2)
+
+    def above(self, lo: np.ndarray) -> np.ndarray:
+        """Integral over [lo, xi0], elementwise in lo."""
+        return (self.kappa * _power_piece(lo, self.xi0, self.e1)
+                + self.kappa2 * _power_piece(lo, self.xi0, self.e2))
+
+
 class _ProfileTail:
     """Vectorized x -> integral_x^v xi^a / I(xi)^b dxi for one parameter set.
 
@@ -127,28 +154,15 @@ class _ProfileTail:
     """
 
     def __init__(self, model: ModelSpace, v: float, a: float, b: float,
-                 e1: float, n_nodes: int = 8193) -> None:
-        N = model.N
-        gamma2 = model.constants().gamma2
+                 e1: float) -> None:
         self.v = float(v)
-        self.xi0 = 1e-6 * v
-        self.e1 = float(e1)
-        self.e2 = float(e1) + 2.0 / N
-        self.kappa = (N * gamma2 ** (1.0 / N)) ** (-b)
-        eta = model.K / (2.0 * (N + 2.0))
-        self.kappa2 = self.kappa * b * eta * gamma2 ** (-2.0 / N)
-        y = np.linspace(math.log(self.xi0), math.log(self.v), n_nodes)
+        self.head = _Head(model, v, b, float(e1))
+        self.xi0 = self.head.xi0
+        y = np.linspace(math.log(self.xi0), math.log(self.v), 8193)
         xi = np.exp(y)
         prof = np.asarray(model.isoperimetric_profile(xi), dtype=float)
         self._anti = PchipInterpolator(y, xi ** (a + 1.0) / prof**b).antiderivative()
-        self._y_lo = float(y[0])
-        self._y_hi = float(y[-1])
-        self.exact_leg = float(self._anti(self._y_hi))
-
-    def head(self) -> float:
-        """Closed-form integral of the expansion over [0, xi0]; e1 > 0 only."""
-        return (self.kappa * self.xi0**self.e1 / self.e1
-                + self.kappa2 * self.xi0**self.e2 / self.e2)
+        self.exact_leg = float(self._anti(float(y[-1])))
 
     def __call__(self, x):
         arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -156,9 +170,7 @@ class _ProfileTail:
         out = self.exact_leg - np.asarray(self._anti(y), dtype=float)
         low = arr < self.xi0
         if np.any(low):
-            xl = arr[low]
-            out[low] += (self.kappa * _power_piece(xl, self.xi0, self.e1)
-                         + self.kappa2 * _power_piece(xl, self.xi0, self.e2))
+            out[low] += self.head.above(arr[low])
         return out if np.ndim(x) else float(out[0])
 
 
@@ -167,8 +179,8 @@ def _regime_gap(N: float, p: float, inv_s: float) -> float:
     return p / N - inv_s
 
 
-def c1_constant(K: float, N: float, v: float, p: float, s: float,
-                tol: numerics.Tolerance | None = None) -> float | DivergentType:
+def c1_constant(K: float, N: float, v: float,
+                p: float, s: float) -> float | DivergentType:
     """Sup-norm embedding constant; Divergent when s <= N/p.
 
     The finiteness test runs through the head exponent e1 = (p/N - 1/s)
@@ -182,24 +194,19 @@ def c1_constant(K: float, N: float, v: float, p: float, s: float,
     model = model_for(K, N)
     a = (1.0 - inv_s) / (p - 1.0)
     b = p / (p - 1.0)
-    e1 = gap / (p - 1.0)
-    xi0 = 1e-6 * v
+    head = _Head(model, v, b, gap / (p - 1.0))
 
     def leg(y):
         xi = np.exp(np.asarray(y, dtype=float))
         prof = np.asarray(model.isoperimetric_profile(xi), dtype=float)
         return xi ** (a + 1.0) / prof**b
 
-    gamma2 = model.constants().gamma2
-    kappa = (N * gamma2 ** (1.0 / N)) ** (-b)
-    kappa2 = kappa * b * (K / (2.0 * (N + 2.0))) * gamma2 ** (-2.0 / N)
-    e2 = e1 + 2.0 / N
-    head = kappa * xi0**e1 / e1 + kappa2 * xi0**e2 / e2
-    return head + numerics.integrate(leg, math.log(xi0), math.log(v), tol)
+    return head.total() + numerics.integrate(leg, math.log(head.xi0),
+                                             math.log(v))
 
 
-def c2_constant(K: float, N: float, v: float, p: float, s: float, t: float,
-                tol: numerics.Tolerance | None = None) -> float | DivergentType:
+def c2_constant(K: float, N: float, v: float, p: float, s: float,
+                t: float) -> float | DivergentType:
     """L^t embedding constant; Divergent when t < 1 or the regime
     condition t (1/s - p/N) / (p - 1) < 1 fails.
 
@@ -227,7 +234,7 @@ def c2_constant(K: float, N: float, v: float, p: float, s: float, t: float,
     b = p / (p - 1.0)
     tail = _ProfileTail(model, v, a, b, -theta)
     outer = numerics.integrate(
-        lambda x: np.maximum(tail(x), 0.0) ** t, 0.0, v, tol)
+        lambda x: np.maximum(tail(x), 0.0) ** t, 0.0, v)
     return outer ** (1.0 / t)
 
 
@@ -293,8 +300,7 @@ def _segments(r1: float, knots: tuple[float, ...]) -> list[tuple[float, float]]:
     return [(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo]
 
 
-def _source_norm(prob: RadialProblem, s: float,
-                 tol: numerics.Tolerance | None) -> float:
+def _source_norm(prob: RadialProblem, s: float) -> float:
     if s == math.inf:
         ts = np.linspace(0.0, prob.r1, 4097)
         for k in prob.inner_knots:
@@ -306,24 +312,23 @@ def _source_norm(prob: RadialProblem, s: float,
     for lo, hi in _segments(prob.r1, prob.inner_knots):
         total += numerics.integrate(
             lambda rho: np.abs(np.asarray(prob.f(rho), dtype=float)) ** s
-            * np.asarray(dens(rho), dtype=float), lo, hi, tol)
+            * np.asarray(dens(rho), dtype=float), lo, hi)
     return total ** (1.0 / s)
 
 
-def _solution_norm(prob: RadialProblem, sol: RadialSolution, t: float,
-                   tol: numerics.Tolerance | None) -> float:
+def _solution_norm(prob: RadialProblem, sol: RadialSolution,
+                   t: float) -> float:
     dens = prob.space.density
     total = 0.0
     for lo, hi in _segments(prob.r1, prob.inner_knots):
         total += numerics.integrate(
             lambda rho: np.abs(np.asarray(sol.w_at(rho), dtype=float)) ** t
-            * np.asarray(dens(rho), dtype=float), lo, hi, tol)
+            * np.asarray(dens(rho), dtype=float), lo, hi)
     return total ** (1.0 / t)
 
 
 def check_embedding(prob: RadialProblem, sol: RadialSolution, s: float,
-                    t: float | None = None,
-                    tol: numerics.Tolerance | None = None) -> EmbeddingCheck:
+                    t: float | None = None) -> EmbeddingCheck:
     """Verify the embedding inequality on a solved radial problem.
 
     lhs is sup |u| (or the L^t norm when t is given), rhs is the matching
@@ -346,11 +351,11 @@ def check_embedding(prob: RadialProblem, sol: RadialSolution, s: float,
             f"domain mass v={v} must be a proper fraction of the space")
     if t is None:
         lhs = max(float(np.max(np.abs(sol.w))), abs(float(sol.w_at(0.0))))
-        c = c1_constant(K, N, v, prob.p, s, tol)
+        c = c1_constant(K, N, v, prob.p, s)
     else:
-        lhs = _solution_norm(prob, sol, t, tol)
-        c = c2_constant(K, N, v, prob.p, s, t, tol)
-    norm = _source_norm(prob, s, tol)
+        lhs = _solution_norm(prob, sol, t)
+        c = c2_constant(K, N, v, prob.p, s, t)
+    norm = _source_norm(prob, s)
     if norm == 0.0:
         rhs = 0.0
     elif is_divergent(c):

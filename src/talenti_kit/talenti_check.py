@@ -30,7 +30,7 @@ from .errors import (
     InvalidParameter,
     InvalidShift,
 )
-from .model_space import ModelSpace, WeightedInterval, make_model
+from .model_space import ModelSpace, WeightedInterval
 from .radial_poisson import (
     RadialProblem,
     RadialSolution,
@@ -51,7 +51,7 @@ def model_for(K: float, N: float) -> ModelSpace:
     key = (float(K), float(N))
     model = _MODELS.get(key)
     if model is None:
-        model = _MODELS.setdefault(key, make_model(*key))
+        model = _MODELS.setdefault(key, ModelSpace(*key))
     return model
 
 
@@ -226,24 +226,6 @@ def _source_cumulative(inst: ProblemInstance, u: RadialSolution, step):
     return lambda s: step.integral(np.clip(s, 0.0, inst.v))
 
 
-def _symmetrized(inst: ProblemInstance, u: RadialSolution):
-    """u* as a callable on the model segment [0, model_radius]."""
-    model = inst.model
-    space = inst.space
-    v = inst.v
-
-    def ustar(x):
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        s = np.asarray(model.cumulative(arr), dtype=float)
-        rho = np.asarray(space.inverse_cumulative(np.minimum(s, v)),
-                         dtype=float)
-        out = np.asarray(u.w_at(rho), dtype=float)
-        out[s >= v] = 0.0
-        return out if np.ndim(x) else float(out[0])
-
-    return ustar
-
-
 def _radius_of_level(u: RadialSolution, levels: np.ndarray) -> np.ndarray:
     """Vectorized inverse of the nonincreasing solution profile."""
     lo = np.zeros_like(levels)
@@ -259,9 +241,7 @@ def _radius_of_level(u: RadialSolution, levels: np.ndarray) -> np.ndarray:
 def run_comparison(inst: ProblemInstance,
                    r_list: list[float] | None = None,
                    n_check: int = 2048,
-                   n_levels: int = 16,
-                   n_cells: int = 4096,
-                   tol: numerics.Tolerance | None = None) -> ComparisonReport:
+                   n_cells: int = 4096) -> ComparisonReport:
     """Solve both problems and fill a ComparisonReport.
 
     The pointwise check runs on a shared cosine grid; grid_bound is a
@@ -281,7 +261,7 @@ def run_comparison(inst: ProblemInstance,
             f"instance density violates the curvature criterion by {resid:.3e}")
 
     prob_u = inst.problem()
-    u = solve_explicit(prob_u, n_cells=n_cells, tol=tol)
+    u = solve_explicit(prob_u, n_cells=n_cells)
     fsharp_at, step, knot_masses, monotone = _rearranged_source(inst)
     F_at = _source_cumulative(inst, u, step)
 
@@ -294,20 +274,22 @@ def run_comparison(inst: ProblemInstance,
     # the model mass of f* is F(H(rho)) exactly, so the model solve can
     # skip re-integrating the composed source
     mass_w = lambda rho: F_at(model.cumulative(rho))
-    w = solve_explicit(prob_w, n_cells=n_cells, tol=tol, mass_at=mass_w)
+    w = solve_explicit(prob_w, n_cells=n_cells, mass_at=mass_w)
 
-    ustar = _symmetrized(inst, u)
+    # u* on the model grid: pull each node back to the instance radius
+    # enclosing the same mass; the grid starts at exactly 0.0
     grid = numerics.Grid.cosine(0.0, r_v, n_check).nodes
-    du = np.asarray(ustar(grid), dtype=float)
+    s_grid = np.asarray(model.cumulative(grid), dtype=float)
+    rho = np.asarray(inst.space.inverse_cumulative(np.minimum(s_grid, inst.v)),
+                     dtype=float)
+    du = np.asarray(u.w_at(rho), dtype=float)
+    du[s_grid >= inst.v] = 0.0
     dw = np.asarray(w.w_at(grid), dtype=float)
     diff = du - dw
     pointwise_violation = float(max(np.max(diff), 0.0))
 
     # first-order sampling bound: max spacing times the larger slope
     spacing = float(np.max(np.diff(grid)))
-    s_grid = np.asarray(model.cumulative(grid), dtype=float)
-    rho = np.asarray(inst.space.inverse_cumulative(np.minimum(s_grid, inst.v)),
-                     dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         star_slope = np.abs(np.asarray(u.wprime_at(rho), dtype=float)) * \
             np.asarray(model.density(grid), dtype=float) / \
@@ -324,7 +306,7 @@ def run_comparison(inst: ProblemInstance,
     }
 
     sup_u = float(u.w_at(0.0))
-    levels = np.linspace(0.05, 0.95, n_levels) * sup_u
+    levels = np.linspace(0.05, 0.95, 16) * sup_u
     lg = levy_gromov_radial(inst, u, levels)
 
     sharpness_gap = float("nan")
@@ -339,7 +321,7 @@ def run_comparison(inst: ProblemInstance,
         levy_gromov_min_ratio=lg,
         sharpness_gap=sharpness_gap,
         sup_u=sup_u,
-        origin_gap=float(w.w_at(0.0)) - float(ustar(0.0)),
+        origin_gap=float(w.w_at(0.0)) - float(du[0]),
     )
 
 
@@ -371,8 +353,8 @@ def levy_gromov_radial(inst: ProblemInstance, u: RadialSolution,
     return float(np.min(ratios))
 
 
-def chain_inequality_trace(inst: ProblemInstance, u: RadialSolution,
-                           n_levels: int = 256) -> ChainTrace:
+def chain_inequality_trace(inst: ProblemInstance,
+                           u: RadialSolution) -> ChainTrace:
     """Per-level check that -mu'(t) dominates the isoperimetric bound.
 
     For each level t, the entry is
@@ -389,7 +371,7 @@ def chain_inequality_trace(inst: ProblemInstance, u: RadialSolution,
     F_at = _source_cumulative(inst, u, step)
 
     top = 0.99 * sup_u
-    levels = np.linspace(top / n_levels, top, n_levels)
+    levels = np.linspace(top / 256, top, 256)
     # mu behaves like (sup - t)^{3/2} at the top, so the difference step
     # must shrink with the distance from sup to keep the bias flat
     delta = np.minimum(1e-4 * sup_u, 1.5e-3 * (sup_u - levels))

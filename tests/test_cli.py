@@ -293,6 +293,16 @@ class TestParsing:
         with pytest.raises(ParseError):
             load_scenarios(tmp_path / "nope.ini")
 
+    def test_colliding_output_files_rejected(self):
+        # [x] writes x-spectrum.csv, the main table of [x-spectrum]
+        text = ("[x]\nkind = eigen\nK = 2\nN = 3\np = 2\nv = 0.5\n\n"
+                "[x-spectrum]\nkind = model-probe\nK = 2\nN = 3\n")
+        with pytest.raises(ParseError) as err:
+            parse_scenarios_text(text, "mem")
+        msg = str(err.value)
+        assert "x-spectrum.csv" in msg
+        assert "[x]" in msg and "[x-spectrum]" in msg
+
 
 class TestSuites:
     def test_names_stable_and_nonempty(self):
@@ -421,6 +431,15 @@ class TestMixedRun:
         assert c1s[1.5] == "inf"
         assert float(c1s[3.0]) < math.inf
         assert all(r[1] == "3" for r in rows)
+        # c1 flips at exactly s = N/p: inf at and below, finite above
+        crit = 3.0 / 2.0
+        assert crit in c1s
+        below = [c1 for s, c1 in c1s.items() if s <= crit]
+        above = [c1 for s, c1 in c1s.items() if s > crit]
+        assert below and above
+        assert all(c1 == "inf" for c1 in below)
+        assert all(math.isfinite(float(c1)) and float(c1) > 0.0
+                   for c1 in above)
 
     def test_sweep_table_monotone(self, mixed_run):
         _, out = mixed_run

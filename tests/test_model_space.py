@@ -15,12 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from talenti_kit.errors import InvalidParameter, OutOfDomain
-from talenti_kit.model_space import make_model
+from talenti_kit.model_space import ModelSpace
 
 
 @pytest.fixture(scope="module")
 def ms23():
-    return make_model(2.0, 3.0)
+    return ModelSpace(2.0, 3.0)
 
 
 class TestClosedFormAnchors:
@@ -106,14 +106,14 @@ class TestInvariants:
 
 class TestFractionalDimension:
     def test_non_integer_dimension_normalizes(self):
-        ms = make_model(1.0, 2.5)
+        ms = ModelSpace(1.0, 2.5)
         assert ms.L == pytest.approx(math.pi * math.sqrt(1.5), rel=1e-14)
         from talenti_kit.numerics import integrate
         assert abs(integrate(ms.density, 0.0, ms.L) - 1.0) <= 1e-9
         assert abs(ms.cumulative(ms.L / 2.0) - 0.5) <= 1e-10
 
     def test_round_trip_fractional(self):
-        ms = make_model(0.7, 4.2)
+        ms = ModelSpace(0.7, 4.2)
         for v in [0.01, 0.3, 0.77, 0.99]:
             assert abs(ms.cumulative(ms.inverse_cumulative(v)) - v) <= 1e-9
 
@@ -121,13 +121,13 @@ class TestFractionalDimension:
 class TestValidation:
     def test_rejects_nonpositive_curvature(self):
         with pytest.raises(InvalidParameter):
-            make_model(0.0, 3.0)
+            ModelSpace(0.0, 3.0)
         with pytest.raises(InvalidParameter):
-            make_model(-1.0, 3.0)
+            ModelSpace(-1.0, 3.0)
 
     def test_rejects_small_dimension(self):
         with pytest.raises(InvalidParameter):
-            make_model(2.0, 1.0)
+            ModelSpace(2.0, 1.0)
 
     def test_density_domain_guard(self, ms23):
         with pytest.raises(OutOfDomain):
@@ -166,7 +166,7 @@ class TestScalarDensity:
 
     @pytest.mark.parametrize("K,N", [(2.0, 3.0), (3.0, 4.0)])
     def test_model_scalar_matches_array(self, K, N):
-        model = make_model(K, N)
+        model = ModelSpace(K, N)
         ts = np.linspace(0.0, model.L, 1000)
         scalar = [model.density(float(t)) for t in ts]
         assert all(isinstance(x, float) for x in scalar)

@@ -19,7 +19,7 @@ from talenti_kit.errors import (
     InvalidParameter,
     NegativeData,
 )
-from talenti_kit.model_space import make_model
+from talenti_kit.model_space import ModelSpace
 from talenti_kit.numerics import Grid
 from talenti_kit.radial_poisson import (
     RadialProblem,
@@ -35,7 +35,7 @@ from talenti_kit.rearrangement import StepFunction
 
 @pytest.fixture(scope="module")
 def model23():
-    return make_model(2.0, 3.0)
+    return ModelSpace(2.0, 3.0)
 
 
 @pytest.fixture(scope="module")

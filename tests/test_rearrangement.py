@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from talenti_kit.errors import InvalidParameter, MeasureOutOfRange
-from talenti_kit.model_space import make_model
+from talenti_kit.model_space import ModelSpace
 from talenti_kit.numerics import generalized_inverse
 from talenti_kit.rearrangement import (
     SampledFunction,
@@ -28,7 +28,7 @@ from talenti_kit.rearrangement import (
 
 @pytest.fixture(scope="module")
 def ms23():
-    return make_model(2.0, 3.0)
+    return ModelSpace(2.0, 3.0)
 
 
 def two_cell():
