@@ -79,6 +79,14 @@ class WeightedInterval:
         return float(np.max(resid))
 
 
+def check_curvature_dimension(K: float, N: float) -> None:
+    """Raise InvalidParameter unless K > 0 and N > 1, both finite."""
+    if not (K > 0.0 and math.isfinite(K)):
+        raise InvalidParameter(f"curvature K={K} must be positive")
+    if not (N > 1.0 and math.isfinite(N)):
+        raise InvalidParameter(f"dimension N={N} must exceed 1")
+
+
 @dataclass(frozen=True)
 class ModelConstants:
     """Small-radius comparison constants.
@@ -99,10 +107,7 @@ class ModelSpace(WeightedInterval):
     """
 
     def __init__(self, K: float, N: float) -> None:
-        if not (K > 0.0 and math.isfinite(K)):
-            raise InvalidParameter(f"curvature K={K} must be positive")
-        if not (N > 1.0 and math.isfinite(N)):
-            raise InvalidParameter(f"dimension N={N} must exceed 1")
+        check_curvature_dimension(K, N)
         self.K = float(K)
         self.N = float(N)
         self._scale = math.sqrt(K / (N - 1.0))

@@ -45,7 +45,7 @@ from scipy.interpolate import PchipInterpolator
 
 from . import numerics
 from .errors import InvalidParameter, NonConvergence
-from .model_space import ModelSpace
+from .model_space import ModelSpace, check_curvature_dimension
 from .radial_poisson import RadialProblem, RadialSolution
 from .talenti_check import model_for
 
@@ -85,10 +85,7 @@ def is_divergent(x) -> bool:
 
 def _validate(K: float, N: float, v: float, p: float, s: float) -> float:
     """Common parameter screen; returns 1/s with the s = inf convention."""
-    if not (K > 0.0 and math.isfinite(K)):
-        raise InvalidParameter(f"curvature K={K} must be positive")
-    if not (N > 1.0 and math.isfinite(N)):
-        raise InvalidParameter(f"dimension N={N} must exceed 1")
+    check_curvature_dimension(K, N)
     if not (0.0 < v < 1.0):
         raise InvalidParameter(f"domain mass v={v} must lie in (0, 1)")
     if not (p > 1.0 and math.isfinite(p)):

@@ -30,7 +30,11 @@ from .errors import (
     InvalidParameter,
     InvalidShift,
 )
-from .model_space import ModelSpace, WeightedInterval
+from .model_space import (
+    ModelSpace,
+    WeightedInterval,
+    check_curvature_dimension,
+)
 from .radial_poisson import (
     RadialProblem,
     RadialSolution,
@@ -64,8 +68,9 @@ def make_shifted_cap(K: float, N: float, shift: float,
     the curvature criterion from the model exactly; shift = 0 returns a
     space indistinguishable from the model itself.  Passing the target
     mass v checks up front that the domain radius stays inside the
-    support.
+    support.  K and N must satisfy the model's own range.
     """
+    check_curvature_dimension(K, N)
     scale = math.sqrt(K / (N - 1.0))
     L = math.pi / scale
     if not (0.0 <= shift < 0.5 * L and math.isfinite(shift)):

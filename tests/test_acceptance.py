@@ -68,7 +68,7 @@ def model_reports():
     for N, p, ftext in MODEL_CASES:
         spec = _source(ftext)
         ival = model_for(N - 1.0, float(N))
-        inst = ProblemInstance(space=ival, p=p, f=spec.fn(), v=0.5,
+        inst = ProblemInstance(space=ival, p=p, f=spec, v=0.5,
                                label="model", f_knots=spec.knots)
         start = time.perf_counter()
         rep = run_comparison(inst, n_check=4096)
@@ -84,7 +84,7 @@ def cap_reports():
     spec = _source("twolevel 2 0.5 0.25")
     for a, v, p in CAP_CASES:
         cap = make_shifted_cap(2.0, 3.0, a, v)
-        inst = ProblemInstance(space=cap, p=p, f=spec.fn(), v=v,
+        inst = ProblemInstance(space=cap, p=p, f=spec, v=v,
                                label="cap", f_knots=spec.knots)
         start = time.perf_counter()
         rep = run_comparison(inst)
@@ -105,7 +105,7 @@ def poisson_set():
         for p in (1.5, 2.0, 3.0):
             for ftext in ("const 1", "twolevel 2 0.5 0.25"):
                 spec = _source(ftext)
-                prob = RadialProblem(space=space, p=p, f=spec.fn(), r1=r1,
+                prob = RadialProblem(space=space, p=p, f=spec, r1=r1,
                                      f_knots=spec.knots)
                 sol = solve_explicit(prob)
                 out.append((f"{label} p={p} {spec.form}", spec, prob, sol))
@@ -256,11 +256,11 @@ def test_criterion_08_rearrangement():
     spec = _source("cospos")
     ival = model_for(2.0, 3.0)
     r1 = float(ival.inverse_cumulative(0.7 * ival.total))
-    sampled = sample_on_cells(spec.fn(), ival.cumulative, r1, n_cells=8192)
+    sampled = sample_on_cells(spec, ival.cumulative, r1, n_cells=8192)
     sym = schwarz_symmetrize(sampled, model_for(2.0, 3.0))
     xs = np.linspace(0.05 * r1, 0.95 * r1, 257)
     sampled_err = float(np.max(np.abs(np.asarray(sym(xs), dtype=float)
-                                      - spec.fn()(xs))))
+                                      - spec(xs))))
     ok = atomic_err <= 1e-12 and sampled_err <= 1e-3 and elapsed < 2.0
     _verdict(8, "rearrangement", ok,
              f"atomic error {atomic_err:.3g} at {n} cells in "

@@ -11,6 +11,9 @@ the numbers themselves are pinned by the library test files.
 import configparser
 import math
 import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +21,6 @@ import pytest
 
 from talenti_kit import cli, eigen, errors
 from talenti_kit.cli import (
-    Budget,
     ParseError,
     list_builtin_suites,
     load_scenarios,
@@ -148,24 +150,23 @@ class TestSourceSpec:
         assert spec.form == "const" and spec.values == (2.5,)
         assert spec.knots == ()
         assert spec.nonincreasing and spec.step_exact
-        out = spec.fn()(np.array([0.1, 1.0]))
+        out = spec(np.array([0.1, 1.0]))
         assert np.all(out == 2.5)
-        assert spec.fn()(0.3) == 2.5
+        assert spec(0.3) == 2.5
 
     def test_cospos(self):
         spec = cli._parse_source("s", "cospos")
         assert spec.knots == (0.5 * math.pi,)
         assert spec.nonincreasing and not spec.step_exact
-        assert spec.fn()(2.0) == 0.0
-        assert spec.fn()(0.0) == 1.0
+        assert spec(2.0) == 0.0
+        assert spec(0.0) == 1.0
 
     def test_twolevel(self):
         spec = cli._parse_source("s", "twolevel 2 0.5 0.3")
         assert spec.values == (2.0, 0.5, 0.3)
         assert spec.knots == (0.3,)
         assert spec.nonincreasing
-        f = spec.fn()
-        assert f(0.1) == 2.0 and f(0.5) == 0.5
+        assert spec(0.1) == 2.0 and spec(0.5) == 0.5
 
     def test_twolevel_reversed_flag(self):
         spec = cli._parse_source("s", "twolevel 0.5 2 0.3")
@@ -618,7 +619,8 @@ class TestExitCodes:
         def boom(sc, budget):
             raise RuntimeError("synthetic kernel failure")
 
-        monkeypatch.setitem(cli._RUNNERS, "model-probe", boom)
+        monkeypatch.setitem(cli._KINDS, "model-probe",
+                            (cli._parse_model_probe, boom, ()))
         ini = tmp_path / "t.ini"
         ini.write_text(TINY)
         out = tmp_path / "o"
@@ -630,7 +632,63 @@ class TestExitCodes:
         assert block["status"] == "fail"
 
 
-class TestBudget:
-    def test_scales_base_tolerance(self):
-        assert Budget(2.0)(1e-6) == 2e-6
-        assert Budget(1.0)(1e-8) == 1e-8
+class TestImportCost:
+    def test_cli_import_leaves_scipy_stats_out(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, talenti_kit.cli; "
+                "print('scipy.stats' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+
+class TestRankCorrelation:
+    """The sweep's rho against scipy.stats.spearmanr, bit for bit."""
+
+    @staticmethod
+    def _spearman(ys):
+        from scipy.stats import spearmanr
+        xs = 0.05 * np.arange(1.0, len(ys) + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # constant input warns
+            return float(spearmanr(xs, ys)[0])
+
+    def test_ties_match_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for trial in range(1200):
+            n = 2 + trial % 12
+            if trial % 3 == 0:
+                ys = rng.random(n)
+            else:  # few levels, so most vectors have ties
+                ys = 0.1 * rng.integers(0, 1 + trial % 4, n)
+            got, want = cli._rank_correlation(ys), self._spearman(ys)
+            if math.isnan(want):
+                assert math.isnan(got), ys
+            else:
+                assert got.hex() == want.hex(), ys
+
+    def test_constant_and_nan_input_give_nan(self):
+        for ys in ([0.3, 0.3, 0.3], [1.0, 1.0], [0.1, math.nan, 0.2]):
+            assert math.isnan(self._spearman(ys))
+            assert math.isnan(cli._rank_correlation(ys))
+
+
+class TestWriteCsv:
+    def test_bytes_match_per_cell_reference(self, tmp_path):
+        rows = [
+            (None, "a", 1, np.int64(2), 0.1, np.float64(1.0 / 3.0), 1, -0.0),
+            ("x", None, -3, np.int64(-4), math.inf, np.float64(math.nan),
+             2.5, 0.0),
+            ("", "y", 10**20, np.int64(0), -math.inf, 1e-300, 2**60, -0.0),
+            ("z", "", 0, np.int64(7), 1e300, np.float64(-2.0),
+             np.int64(9), np.float64(-0.0)),
+        ]
+        header = [f"c{i}" for i in range(len(rows[0]))]
+        for name, table in (("mixed", rows), ("empty", [])):
+            path = tmp_path / f"{name}.csv"
+            cli._write_csv(path, header, table)
+            lines = [",".join(header)]
+            lines += [",".join(cli._fmt(x) for x in row) for row in table]
+            want = ("\n".join(lines) + "\n").encode("utf-8")
+            assert path.read_bytes() == want

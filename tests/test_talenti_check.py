@@ -74,6 +74,13 @@ class TestShiftedCap:
         with pytest.raises(InvalidShift):
             make_shifted_cap(2.0, 3.0, math.pi / 2.0)
 
+    @pytest.mark.parametrize("K, N", [(-1.0, 3.0), (0.0, 3.0), (2.0, 1.0),
+                                      (2.0, 0.5), (math.nan, 3.0),
+                                      (2.0, math.inf), (math.inf, 3.0)])
+    def test_curvature_dimension_rejected(self, K, N):
+        with pytest.raises(InvalidParameter):
+            make_shifted_cap(K, N, 0.1)
+
     def test_bad_mass_rejected(self):
         with pytest.raises(InvalidMass):
             make_shifted_cap(2.0, 3.0, 0.3, v=1.2)
