@@ -47,16 +47,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .eigen import (alpha_from_lambda, chiti_compare, first_eigenpair,
-                    model_eigenpair, reverse_holder, stability_deficits)
+from .eigen import (alpha_from_lambda, chiti_compare, faber_krahn_check,
+                    first_eigenpair, model_eigenpair, reverse_holder,
+                    stability_deficits)
 from .errors import ParseError
 from .model_space import WeightedInterval
 from .radial_poisson import (RadialProblem, gradient_norm, gradient_norm_mass,
                              solve_explicit, solve_mass_form, weak_residual)
 from .rearrangement import StepFunction, decreasing_rearrangement, lp_norm, \
     sample_on_cells
-from .sobolev_embed import check_embedding, embedding_constants, \
-    is_divergent
+from .sobolev_embed import c1_constant, check_embedding, \
+    embedding_constants, is_divergent
 from .talenti_check import ProblemInstance, make_shifted_cap, model_for, \
     run_comparison
 
@@ -564,14 +565,11 @@ def _run_talenti(sc: Scenario, scale: float):
 def _run_eigen(sc: Scenario, scale: float):
     params = sc.params
     K, N, p, v = params["K"], params["N"], params["p"], params["v"]
-    space = _space_for(params)
-    zm = model_eigenpair(K, N, p, v)
-    pair = first_eigenpair(space, v, p, seed=zm.lam)
-    margin = pair.lam - zm.lam
+    fk = faber_krahn_check(_space_for(params), v, p)
+    pair, margin = fk.instance, fk.margin
     checks = [
         _check("faber-krahn", margin + 1e-8 * scale),
-        _check("boundary-zero",
-               1e-6 * scale - abs(float(pair.z_at(pair.r_alpha)))),
+        _check("boundary-zero", 1e-6 * scale - abs(pair.z_end)),
         _check("rayleigh-consistent",
                1e-6 * scale - abs(pair.rayleigh() - pair.lam) / pair.lam),
     ]
@@ -589,7 +587,7 @@ def _run_eigen(sc: Scenario, scale: float):
             np.asarray(pair.z_at(tg), dtype=float) / z0 - np.cos(tg))))
         checks.append(_check("cosine-profile", 1e-4 * scale - dist))
     rows = list(zip(pair.sol.grid, pair.sol.w, pair.sol.wprime))
-    spectrum = [(pair.lam, zm.lam, margin)]
+    spectrum = [(pair.lam, fk.model.lam, margin)]
     return checks, [
         (("t", "z", "zprime"), rows),
         (("lambda_instance", "lambda_model", "margin"), spectrum),
@@ -600,11 +598,8 @@ def _run_holder(sc: Scenario, scale: float):
     params = sc.params
     K, N, p, v = params["K"], params["N"], params["p"], params["v"]
     r = p - 1.0
-    space = _space_for(params)
-    zv = model_eigenpair(K, N, p, v)
-    u = first_eigenpair(space, v, p, seed=zv.lam)
-    alpha = alpha_from_lambda(model_for(K, N), p, u.lam, v)
-    z = model_eigenpair(K, N, p, alpha)
+    u = faber_krahn_check(_space_for(params), v, p).instance
+    alpha, z = alpha_from_lambda(model_for(K, N), p, u.lam, v)
     crossing, viol = chiti_compare(u, z, r)
     rep = reverse_holder(u, z, r, params["t_grid"])
     checks = [
@@ -636,7 +631,7 @@ def _run_sobolev(sc: Scenario, scale: float):
     crit = N / p
     consts = [embedding_constants(K, N, vm, p, si, t)
               for si in (crit * (1.0 - 1e-3), crit, crit * (1.0 + 1e-3),
-                         2.0 * crit, s)]
+                         2.0 * crit)]
     below, at, above = (is_divergent(row.c1) for row in consts[:3])
     checks = [
         _check("embedding-slack", emb.slack + 1e-8 * scale),
@@ -646,6 +641,10 @@ def _run_sobolev(sc: Scenario, scale: float):
     ]
     rows = [(row.s, t, float(row.c1),
              None if row.c2 is None else float(row.c2)) for row in consts]
+    # the row at the scenario's own s reuses the constant the check used
+    c1 = emb.constant if t is None else c1_constant(K, N, vm, p, s)
+    c2 = None if t is None else float(emb.constant)
+    rows.append((float(s), t, float(c1), c2))
     return checks, [
         (("s", "t", "c1", "c2"), rows),
         (("lhs", "rhs", "slack"), [(emb.lhs, emb.rhs, emb.slack)]),
@@ -674,8 +673,7 @@ def _run_sweep(sc: Scenario, scale: float):
         cap = make_shifted_cap(K, N, a, v)
         u = first_eigenpair(cap, v, p, seed=seed)
         seed = u.lam  # eigenvalues grow with the shift; reuse as bracket hint
-        alpha = alpha_from_lambda(model, p, u.lam, v)
-        z = model_eigenpair(K, N, p, alpha)
+        alpha, z = alpha_from_lambda(model, p, u.lam, v)
         per_q = stability_deficits(u, z, p, params["Q"])
         delta = max(per_q)
         deltas.append(delta)

@@ -17,9 +17,12 @@ exactly at r_v; a regula-falsi loop with bisection fallback finds it
 from a bracket.  The same monotonicity inverts the model eigenvalue
 curve v -> lambda(v) in one integration: the model ball whose first
 eigenvalue is a given lam ends at the first zero of the model solution
-shot at that lam, so alpha_from_lambda needs no search over masses.
-The RHS reads the density one scalar at a time; model and cap densities
-answer a float argument through math.sin without array setup.
+shot at that lam, so alpha_from_lambda needs no search over masses, and
+that solution up to the zero is the model eigenpair on the ball, with
+lam as its eigenvalue by construction.  Both routes build their
+EigenPair in _pair_from.  The RHS reads the density one scalar at a
+time; model and cap densities answer a float argument through math.sin
+without array setup.
 
 The remaining routines compare an instance eigenpair against the model
 one: eigenvalue domination, the single-crossing ordering of the
@@ -68,7 +71,8 @@ class EigenPair:
     gradient-norm checks from the Poisson module apply verbatim; its
     mass_at returns the cumulative datum mass int_0^rho lam*z^{p-1} dm,
     which equals minus the flux m and therefore comes straight from the
-    integrated system rather than a second quadrature.
+    integrated system rather than a second quadrature.  z_end is the
+    integrated z at r_alpha, which z_at pins to 0.
     """
 
     lam: float
@@ -76,7 +80,7 @@ class EigenPair:
     p: float
     space: WeightedInterval
     v: float
-    normalization: tuple[str, float]
+    z_end: float
 
     @property
     def r_alpha(self) -> float:
@@ -110,25 +114,10 @@ class EigenPair:
             0.0, self.sol.r1, _NORM_TOL)
         return num / den
 
-    def scaled(self, c: float) -> "EigenPair":
-        """Same eigenpair with the profile multiplied by c > 0."""
-        if not (c > 0.0 and math.isfinite(c)):
-            raise InvalidParameter(f"scale factor c={c} must be positive")
-        base, cp = self.sol, c ** (self.p - 1.0)
-        sol = RadialSolution(
-            grid=base.grid.copy(), w=c * base.w, wprime=c * base.wprime,
-            p=self.p, r1=base.r1,
-            w_at=lambda t: c * np.asarray(base.w_at(t), dtype=float),
-            wprime_at=lambda t: c * np.asarray(base.wprime_at(t), dtype=float),
-            mass_at=lambda t: cp * np.asarray(base.mass_at(t), dtype=float))
-        tag, val = self.normalization
-        return EigenPair(self.lam, sol, self.p, self.space, self.v,
-                         (tag, val * c))
-
 
 class FaberKrahnResult(NamedTuple):
-    lambda_instance: float
-    lambda_model: float
+    instance: EigenPair
+    model: EigenPair
     margin: float
 
 
@@ -180,18 +169,20 @@ def _series_start(space: WeightedInterval, p: float, lam: float, eps: float):
 
 
 def _first_zero(space: WeightedInterval, p: float, lam: float, eps: float,
-                horizon: float, rtol: float) -> float:
+                horizon: float, dense: bool = False):
+    """(first zero of z in (eps, horizon] or inf, dense output or None)."""
     z0, m0 = _series_start(space, p, lam, eps)
     if z0 <= 0.0:
-        return eps
+        return eps, None
     ev = lambda t, y: y[0]
     ev.terminal = True
     ev.direction = -1
     out = solve_ivp(_rhs_factory(space, p, lam), (eps, horizon), (z0, m0),
-                    method="DOP853", rtol=rtol, atol=_ATOL, events=ev)
+                    method="DOP853", rtol=1e-11, atol=_ATOL, events=ev,
+                    dense_output=dense)
     if out.t_events[0].size:
-        return float(out.t_events[0][0])
-    return math.inf
+        return float(out.t_events[0][0]), out.sol
+    return math.inf, out.sol
 
 
 def _shooting_lambda(space: WeightedInterval, p: float, r_v: float,
@@ -199,7 +190,7 @@ def _shooting_lambda(space: WeightedInterval, p: float, r_v: float,
     """Regula falsi with Illinois damping on (first zero of z) - r_v."""
     eps = 1e-6 * r_v
     horizon = r_v + min(0.25 * r_v, 0.9 * (space.length - r_v))
-    g = lambda lam: _first_zero(space, p, lam, eps, horizon, 1e-11) - r_v
+    g = lambda lam: _first_zero(space, p, lam, eps, horizon)[0] - r_v
 
     lo, hi = 0.1 * seed, 100.0 * seed
     flo, fhi = g(lo), g(hi)
@@ -274,7 +265,13 @@ def first_eigenpair(space: WeightedInterval, v: float, p: float,
                     dense_output=True)
     if not out.success:
         raise NonConvergence("final eigenfunction integration failed")
-    interp = out.sol
+    return _pair_from(space, p, lam, v, eps, r_v, out.sol)
+
+
+def _pair_from(space: WeightedInterval, p: float, lam: float, v: float,
+               eps: float, r_v: float, interp) -> EigenPair:
+    """EigenPair of the shooting solution interp (dense on [eps, r_v]),
+    with the series start below eps and z = 0 from r_v on."""
     end = float(interp(r_v)[0])
     if abs(end) > 1e-6:
         raise NonConvergence(
@@ -339,12 +336,12 @@ def first_eigenpair(space: WeightedInterval, v: float, p: float,
                          p=p, r1=r_v, w_at=z_at, wprime_at=zprime_at,
                          mass_at=mass_at)
     return EigenPair(lam=lam, sol=sol, p=p, space=space, v=float(v),
-                     normalization=("sup", 1.0))
+                     z_end=end)
 
 
-# a holder scenario or a sweep shift adds one pair (the model at its
-# alpha), so the cap holds hundreds of them; each pair keeps about 50 KB
-# of profile
+# a scenario adds at most the model pair at its own v; a holder scenario
+# or a sweep shift adds none at its alpha, whose pair alpha_from_lambda
+# returns uncached; each pair keeps about 50 KB of profile
 _PAIR_CACHE_MAX = 256
 _PAIR_CACHE: dict[tuple, EigenPair] = {}
 _PAIR_LOCK = threading.Lock()
@@ -365,19 +362,21 @@ def model_eigenpair(K: float, N: float, p: float, v: float) -> EigenPair:
 
 
 def alpha_from_lambda(model: ModelSpace, p: float, lambda_target: float,
-                      v_upper: float) -> float:
-    """Mass fraction alpha <= v_upper whose model eigenvalue hits the target.
+                      v_upper: float) -> tuple[float, EigenPair]:
+    """Mass fraction alpha <= v_upper whose model eigenvalue hits the
+    target, and the model eigenpair at alpha.
 
     The first zero of the model shooting solution decreases strictly in
     lam, so the ball on which lambda_target is the first eigenvalue ends
     at the first zero r0 of the solution shot at lam = lambda_target,
     and alpha = H(r0).  One integration on [0, r(v_upper)] finds it; no
     search over alpha and no model eigenpair solve besides the cached
-    one at v_upper, which decides the cases below.  A target within
-    1e-9 * target of lambda(v_upper), or under it by less than the
-    relative gate, returns v_upper; a target further below raises
-    NoBracket, and a solution with no zero inside r(v_upper) raises
-    NonConvergence.
+    one at v_upper, which decides the cases below.  The same integration,
+    up to r0, is the returned pair, so its eigenvalue is lambda_target
+    by construction.  A target within 1e-9 * target of lambda(v_upper),
+    or under it by less than the relative gate, returns v_upper and the
+    cached pair there; a target further below raises NoBracket, and a
+    solution with no zero inside r(v_upper) raises NonConvergence.
     """
     if not (p > 1.0 and math.isfinite(p)):
         raise InvalidParameter(f"exponent p={p} must exceed 1")
@@ -386,36 +385,37 @@ def alpha_from_lambda(model: ModelSpace, p: float, lambda_target: float,
     if not (lambda_target > 0.0 and math.isfinite(lambda_target)):
         raise InvalidParameter("lambda_target must be positive and finite")
 
-    lam_up = model_eigenpair(model.K, model.N, p, v_upper).lam
+    up = model_eigenpair(model.K, model.N, p, v_upper)
     gate = max(1e-6 * lambda_target, 1e-9)
-    if lambda_target < lam_up - gate:
+    if lambda_target < up.lam - gate:
         raise NoBracket(
             f"target eigenvalue {lambda_target:.6g} lies below the value "
-            f"{lam_up:.6g} at v_upper={v_upper}; no mass in (0, v_upper] "
+            f"{up.lam:.6g} at v_upper={v_upper}; no mass in (0, v_upper] "
             "attains it")
-    if (lambda_target <= lam_up
-            or abs(lam_up - lambda_target) <= 1e-9 * lambda_target):
-        return v_upper
+    if (lambda_target <= up.lam
+            or abs(up.lam - lambda_target) <= 1e-9 * lambda_target):
+        return v_upper, up
 
     r_up = float(model.inverse_cumulative(v_upper))
-    r0 = _first_zero(model, p, lambda_target, 1e-6 * r_up, r_up, 1e-11)
-    if not math.isfinite(r0):
+    eps = 1e-6 * r_up
+    r0, interp = _first_zero(model, p, lambda_target, eps, r_up, True)
+    if interp is None or not math.isfinite(r0):
         raise NonConvergence(
             f"model solution at lambda={lambda_target:.6g} has no zero "
-            f"inside the ball of mass v_upper={v_upper}")
-    return float(model.cumulative(r0))
+            f"past its series start inside the ball of mass v_upper={v_upper}")
+    alpha = float(model.cumulative(r0))
+    return alpha, _pair_from(model, p, lambda_target, alpha, eps, r0, interp)
 
 
 def faber_krahn_check(space: WeightedInterval, v: float,
                       p: float) -> FaberKrahnResult:
-    """Instance eigenvalue versus the model one at equal mass fraction."""
+    """Instance eigenpair versus the model one at equal mass fraction."""
     if space.cd is None:
         raise InvalidParameter("instance carries no curvature-dimension tag")
     K, N = space.cd
     zm = model_eigenpair(K, N, p, v)
     zi = first_eigenpair(space, v, p, seed=zm.lam)
-    return FaberKrahnResult(lambda_instance=zi.lam, lambda_model=zm.lam,
-                            margin=zi.lam - zm.lam)
+    return FaberKrahnResult(instance=zi, model=zm, margin=zi.lam - zm.lam)
 
 
 def lp_norm(pair: EigenPair, t: float) -> float:
@@ -552,21 +552,17 @@ def _deficits(u: EigenPair, z: EigenPair, p: float, ts) -> list[float]:
     return out
 
 
-def stability_deficit(u: EigenPair, z: EigenPair, p: float, Q) -> float:
-    """Worst norm deficit over Q under the matched (p-1)-norm normalization.
+def stability_deficits(u: EigenPair, z: EigenPair, p: float,
+                       Q) -> tuple[float, ...]:
+    """Norm deficit per exponent of Q under the matched (p-1)-norm
+    normalization, each clamped at 0.
 
     For p >= 2 each term is ||z||_t^{p-1} - ||u||_t^{p-1}; for p in
     (1, 2) it is the clamped difference raised to p-1.  Zero means the
     instance eigenfunction is norm-indistinguishable from the model one;
-    the value grows with the geometric gap in shifted-family sweeps and
-    is reported as a diagnostic, not a certified bound.
+    the worst term grows with the geometric gap in shifted-family sweeps
+    and is reported as a diagnostic, not a certified bound.
     """
-    return max(stability_deficits(u, z, p, Q))
-
-
-def stability_deficits(u: EigenPair, z: EigenPair, p: float,
-                       Q) -> tuple[float, ...]:
-    """The deficit of stability_deficit per exponent of Q, each clamped at 0."""
     if not (p > 1.0 and math.isfinite(p)):
         raise InvalidParameter(f"exponent p={p} must exceed 1")
     if abs(u.p - p) > 1e-12 or abs(z.p - p) > 1e-12:

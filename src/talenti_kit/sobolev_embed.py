@@ -290,6 +290,7 @@ class EmbeddingCheck(NamedTuple):
     lhs: float
     rhs: float
     slack: float
+    constant: float | DivergentType  # c1 without t, c2 with t
 
 
 def _segments(r1: float, knots: tuple[float, ...]) -> list[tuple[float, float]]:
@@ -359,4 +360,4 @@ def check_embedding(prob: RadialProblem, sol: RadialSolution, s: float,
         rhs = math.inf
     else:
         rhs = float(c) * norm ** (1.0 / (prob.p - 1.0))
-    return EmbeddingCheck(lhs=lhs, rhs=rhs, slack=rhs - lhs)
+    return EmbeddingCheck(lhs=lhs, rhs=rhs, slack=rhs - lhs, constant=c)

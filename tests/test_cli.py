@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from talenti_kit import cli, eigen, errors
+from talenti_kit import cli, eigen, errors, sobolev_embed
 from talenti_kit.cli import (
     ParseError,
     list_builtin_suites,
@@ -28,7 +28,7 @@ from talenti_kit.cli import (
     parse_scenarios_text,
     suite_scenarios,
 )
-from talenti_kit.talenti_check import model_for
+from talenti_kit.talenti_check import make_shifted_cap, model_for
 
 MIXED = """\
 [probe]
@@ -119,6 +119,15 @@ def read_record(out: Path, name: str) -> dict:
     cp.optionxform = str
     cp.read_string((out / f"{name}.record").read_text())
     return dict(cp.items(name))
+
+
+def run_text(base: Path, text: str, monkeypatch) -> Path:
+    """Output directory of one run of text at the default tolerances."""
+    monkeypatch.delenv("TALENTI_SEED_TOL", raising=False)
+    ini = base / "run.ini"
+    ini.write_text(text)
+    main(["run", str(ini), "--out", str(base / "o")])
+    return base / "o"
 
 
 def read_csv(path: Path):
@@ -559,6 +568,70 @@ class TestCallOrder:
                                monkeypatch, jobs=2)
         assert after == alone
         assert both == alone
+
+
+class TestSharedSolves:
+    """Runners reuse what the library already computed."""
+
+    @staticmethod
+    def _count(monkeypatch, mod, names, calls):
+        # wraps each name wherever the kit binds it
+        for name in names:
+            real = getattr(mod, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls.append((_name, args))
+                return _real(*args, **kwargs)
+
+            for owner in (mod, cli):
+                if getattr(owner, name, None) is real:
+                    monkeypatch.setattr(owner, name, counting)
+
+    def test_holder_solves_two_eigenpairs(self, tmp_path, monkeypatch):
+        # the model pair at v and the instance pair; the model pair at
+        # alpha comes from the integration that finds alpha
+        monkeypatch.setattr(eigen, "_PAIR_CACHE", {})
+        calls = []
+        self._count(monkeypatch, eigen, ["first_eigenpair"], calls)
+        out = run_text(tmp_path, TestCallOrder.HOLDER, monkeypatch)
+        assert read_record(out, "hold")["status"] == "pass"
+        assert len(calls) == 2
+
+    def test_sobolev_computes_each_constant_once(self, tmp_path, monkeypatch):
+        # the README example: the row at s reuses the check's c2
+        calls = []
+        self._count(monkeypatch, sobolev_embed,
+                    ["c1_constant", "c2_constant"], calls)
+        run_text(tmp_path, "[emb]\nkind = sobolev\nK = 2\nN = 3\np = 2\n"
+                 "v = 0.5\nf = const 1\ns = 2.5\nt = 2\n", monkeypatch)
+        for name in ("c1_constant", "c2_constant"):
+            ss = [args[4] for n, args in calls if n == name]
+            assert sorted(ss) == sorted(set(ss))
+            assert len(ss) == 5 and 2.5 in ss
+
+
+class TestBoundaryZero:
+    """The eigen check gates the integrated z(r_v), not the pinned 0."""
+
+    CAP = "[eig]\nkind = eigen\nK = 2\nN = 3\np = 2\nv = 0.4\na = 0.3\n"
+
+    def _slack(self, tmp_path, monkeypatch, extra=""):
+        out = run_text(tmp_path, self.CAP + extra, monkeypatch)
+        word, *_, slack = read_record(out, "eig")[
+            "check.boundary-zero"].split()
+        return word, float(slack)
+
+    def test_tiny_scale_fails(self, tmp_path, monkeypatch):
+        word, _ = self._slack(tmp_path, monkeypatch, "tol_scale = 1e-30\n")
+        assert word == "fail"
+
+    def test_slack_is_budget_minus_end_value(self, tmp_path, monkeypatch):
+        word, slack = self._slack(tmp_path, monkeypatch)
+        space = make_shifted_cap(2.0, 3.0, 0.3, 0.4)
+        z_end = eigen.faber_krahn_check(space, 0.4, 2.0).instance.z_end
+        assert word == "pass"
+        assert z_end != 0.0
+        assert slack == 1e-6 - abs(z_end)
 
 
 class TestExitCodes:

@@ -33,7 +33,7 @@ from talenti_kit.eigen import (
     model_eigenpair,
     rayleigh_fem,
     reverse_holder,
-    stability_deficit,
+    stability_deficits,
 )
 from talenti_kit.radial_poisson import (
     RadialSolution,
@@ -64,8 +64,7 @@ def cap_pair_p2(cap):
 def chiti_pipeline(cap_pair_p2):
     """Instance pair, matched mass and the model pair at that mass."""
     u = cap_pair_p2
-    alpha = alpha_from_lambda(model_for(2.0, 3.0), 2.0, u.lam, 0.4)
-    z = model_eigenpair(2.0, 3.0, 2.0, alpha)
+    alpha, z = alpha_from_lambda(model_for(2.0, 3.0), 2.0, u.lam, 0.4)
     return u, alpha, z
 
 
@@ -134,16 +133,6 @@ class TestConsistency:
         b = first_eigenpair(scaled_space, 0.4, 2.0)
         assert b.lam == pytest.approx(a.lam, rel=1e-9)
 
-    def test_scaled_profile_keeps_lambda_and_rayleigh(self):
-        pair = model_eigenpair(2.0, 3.0, 2.0, 0.5)
-        big = pair.scaled(3.7)
-        assert big.lam == pair.lam
-        assert big.rayleigh() == pytest.approx(pair.rayleigh(), rel=1e-12)
-        assert lp_norm(big, 2.0) == pytest.approx(3.7 * lp_norm(pair, 2.0),
-                                                  rel=1e-12)
-        with pytest.raises(InvalidParameter):
-            pair.scaled(-1.0)
-
     def test_validation(self, cap):
         with pytest.raises(InvalidMass):
             first_eigenpair(cap, 0.0, 2.0)
@@ -172,16 +161,19 @@ class TestFemCrossCheck:
 
 class TestAlphaFromLambda:
     def test_fixed_point(self):
-        lam = model_eigenpair(2.0, 3.0, 2.0, 0.45).lam
-        assert alpha_from_lambda(model_for(2.0, 3.0), 2.0, lam, 0.45) == 0.45
+        pair = model_eigenpair(2.0, 3.0, 2.0, 0.45)
+        alpha, z = alpha_from_lambda(model_for(2.0, 3.0), 2.0, pair.lam, 0.45)
+        assert alpha == 0.45
+        assert z is pair
 
     def test_half_mass_anchor(self):
-        alpha = alpha_from_lambda(model_for(2.0, 3.0), 2.0, 3.0, 0.7)
+        alpha, _ = alpha_from_lambda(model_for(2.0, 3.0), 2.0, 3.0, 0.7)
         assert alpha == pytest.approx(0.5, abs=1e-6)
 
     def test_larger_target_means_smaller_mass(self):
         lam_up = model_eigenpair(2.0, 3.0, 2.0, 0.6).lam
-        alpha = alpha_from_lambda(model_for(2.0, 3.0), 2.0, 2.0 * lam_up, 0.6)
+        alpha, _ = alpha_from_lambda(model_for(2.0, 3.0), 2.0, 2.0 * lam_up,
+                                     0.6)
         assert 0.0 < alpha < 0.6
         check = model_eigenpair(2.0, 3.0, 2.0, alpha).lam
         assert check == pytest.approx(2.0 * lam_up, rel=1e-8)
@@ -201,7 +193,8 @@ class TestAlphaFromLambda:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(eigen, "first_eigenpair", counting)
-        alpha = alpha_from_lambda(model_for(2.0, 3.0), 2.0, 1.5 * lam_up, 0.6)
+        alpha, _ = alpha_from_lambda(model_for(2.0, 3.0), 2.0, 1.5 * lam_up,
+                                     0.6)
         assert 0.0 < alpha < 0.6
         assert calls == []
 
@@ -211,13 +204,20 @@ class TestAlphaFromLambda:
         cap = make_shifted_cap(2.0, 3.0, a, 0.4)
         target = first_eigenpair(
             cap, 0.4, p, seed=model_eigenpair(2.0, 3.0, p, 0.4).lam).lam
-        alpha = alpha_from_lambda(model_for(2.0, 3.0), p, target, 0.4)
-        lam = model_eigenpair(2.0, 3.0, p, alpha).lam
-        assert abs(lam - target) <= 1e-11 * target
+        alpha, z = alpha_from_lambda(model_for(2.0, 3.0), p, target, 0.4)
+        fresh = model_eigenpair(2.0, 3.0, p, alpha)
+        assert abs(fresh.lam - target) <= 1e-11 * target
+        # the returned pair is the model pair at alpha, with the target
+        # as its eigenvalue by construction
+        assert z.lam == target
+        assert z.v == alpha
+        grid = fresh.sol.grid
+        assert np.max(np.abs(z.z_at(grid) - fresh.sol.w)) <= 1e-10
 
     def test_no_zero_inside_raises(self, monkeypatch):
         lam_up = model_eigenpair(2.0, 3.0, 2.0, 0.6).lam
-        monkeypatch.setattr(eigen, "_first_zero", lambda *args: math.inf)
+        monkeypatch.setattr(eigen, "_first_zero",
+                            lambda *args: (math.inf, None))
         with pytest.raises(NonConvergence):
             alpha_from_lambda(model_for(2.0, 3.0), 2.0, 2.0 * lam_up, 0.6)
 
@@ -232,12 +232,12 @@ class TestFaberKrahn:
     def test_cap_margin_nonnegative(self, cap, p):
         fk = faber_krahn_check(cap, 0.4, p)
         assert fk.margin >= -1e-8
-        assert fk.lambda_instance >= fk.lambda_model - 1e-8
+        assert fk.instance.lam >= fk.model.lam - 1e-8
 
     def test_cap_margin_strict(self, cap):
         fk = faber_krahn_check(cap, 0.4, 2.0)
         assert fk.margin > 0.1
-        assert fk.lambda_model == pytest.approx(LAM_MODEL_04_P2, rel=1e-10)
+        assert fk.model.lam == pytest.approx(LAM_MODEL_04_P2, rel=1e-10)
 
     def test_untagged_space_rejected(self):
         plain = WeightedInterval(lambda t: np.exp(-np.asarray(t, dtype=float)),
@@ -267,8 +267,7 @@ class TestChiti:
     def test_model_degenerate_equality(self):
         cap0 = make_shifted_cap(2.0, 3.0, 0.0)
         u = first_eigenpair(cap0, 0.4, 2.0)
-        alpha = alpha_from_lambda(model_for(2.0, 3.0), 2.0, u.lam, 0.4)
-        z = model_eigenpair(2.0, 3.0, 2.0, alpha)
+        _, z = alpha_from_lambda(model_for(2.0, 3.0), 2.0, u.lam, 0.4)
         r1, viol = chiti_compare(u, z, 1.0)
         assert r1 == z.r_alpha
         assert viol == 0.0
@@ -287,7 +286,7 @@ class TestChiti:
                              wprime=base.wprime, p=2.0, r1=base.r1,
                              w_at=w_at, wprime_at=base.wprime_at,
                              mass_at=base.mass_at)
-        bumped = EigenPair(z.lam, sol, 2.0, z.space, z.v, ("sup", 1.0))
+        bumped = EigenPair(z.lam, sol, 2.0, z.space, z.v, z.z_end)
         with pytest.raises(NoCrossing):
             chiti_compare(bumped, z, 1.0)
 
@@ -337,7 +336,7 @@ class TestReverseHolder:
 class TestStabilityDeficit:
     def test_model_self_deficit_vanishes(self):
         z = model_eigenpair(2.0, 3.0, 2.0, 0.4)
-        assert stability_deficit(z, z, 2.0, [2.0, 3.0]) <= 1e-10
+        assert max(stability_deficits(z, z, 2.0, [2.0, 3.0])) <= 1e-10
 
     def test_grows_with_shift(self):
         model = model_for(2.0, 3.0)
@@ -345,18 +344,16 @@ class TestStabilityDeficit:
         for a in (0.1, 0.25, 0.4):
             space = make_shifted_cap(2.0, 3.0, a)
             u = first_eigenpair(space, 0.4, 2.0)
-            alpha = alpha_from_lambda(model, 2.0, u.lam, 0.4)
-            z = model_eigenpair(2.0, 3.0, 2.0, alpha)
-            deltas.append(stability_deficit(u, z, 2.0, [2.0, 3.0]))
+            _, z = alpha_from_lambda(model, 2.0, u.lam, 0.4)
+            deltas.append(max(stability_deficits(u, z, 2.0, [2.0, 3.0])))
         assert deltas[0] > 0.0
         assert deltas[0] < deltas[1] < deltas[2]
 
     def test_subquadratic_branch_formula(self, cap):
         p = 1.5
         u = first_eigenpair(cap, 0.4, p)
-        alpha = alpha_from_lambda(model_for(2.0, 3.0), p, u.lam, 0.4)
-        z = model_eigenpair(2.0, 3.0, p, alpha)
-        got = stability_deficit(u, z, p, [1.0, 2.0])
+        _, z = alpha_from_lambda(model_for(2.0, 3.0), p, u.lam, 0.4)
+        got = max(stability_deficits(u, z, p, [1.0, 2.0]))
         c = lp_norm(u, p - 1.0) / lp_norm(z, p - 1.0)
         want = max(
             max(c * lp_norm(z, t) - lp_norm(u, t), 0.0) ** (p - 1.0)
@@ -366,9 +363,9 @@ class TestStabilityDeficit:
     def test_exponents_must_exceed_p_minus_one(self, chiti_pipeline):
         u, _, z = chiti_pipeline
         with pytest.raises(InvalidParameter):
-            stability_deficit(u, z, 2.0, [1.0, 2.0])
+            stability_deficits(u, z, 2.0, [1.0, 2.0])
         with pytest.raises(InvalidParameter):
-            stability_deficit(u, z, 2.0, [])
+            stability_deficits(u, z, 2.0, [])
 
 
 class TestMassCoordinateDerivative:
@@ -417,7 +414,7 @@ class TestPropertySweep:
         space = make_shifted_cap(2.0, 3.0, shift)
         fk = faber_krahn_check(space, v, p)
         assert fk.margin >= -1e-8
-        pair = first_eigenpair(space, v, p, seed=fk.lambda_instance)
+        pair = first_eigenpair(space, v, p, seed=fk.instance.lam)
         assert pair.z_at(0.0) == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(pair.sol.w) <= 1e-12)
         assert abs(pair.rayleigh() - pair.lam) <= 1e-6 * pair.lam

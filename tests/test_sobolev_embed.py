@@ -242,7 +242,9 @@ class TestCheckEmbedding:
         prob = RadialProblem(space=space, p=2.0, f=ZEROS, r1=r1)
         sol = solve_explicit(prob)
         chk = check_embedding(prob, sol, math.inf)
-        assert chk == (0.0, 0.0, 0.0)
+        assert (chk.lhs, chk.rhs, chk.slack) == (0.0, 0.0, 0.0)
+        v = float(space.cumulative(r1)) / space.total
+        assert chk.constant == c1_constant(2.0, 3.0, v, 2.0, math.inf)
 
     def test_divergent_constant_is_vacuous(self, model_poisson):
         prob, sol = model_poisson
