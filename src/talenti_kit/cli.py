@@ -454,7 +454,8 @@ def _run_model_probe(sc: Scenario, scale: float):
     radii = np.asarray(model.inverse_cumulative(vs), dtype=float)
     prof = np.asarray(model.density(radii), dtype=float)
     mirror = np.asarray(model.isoperimetric_profile(1.0 - vs), dtype=float)
-    total = float(model.cumulative(model.L))
+    # the table mass before ModelSpace.cumulative divides it out
+    total = float(WeightedInterval.cumulative(model, model.L))
     checks = [
         _check("unit-mass", 1e-9 * scale - abs(total - 1.0)),
         _check("profile-symmetry",
@@ -596,10 +597,11 @@ def _run_eigen(sc: Scenario, scale: float):
 
 def _run_holder(sc: Scenario, scale: float):
     params = sc.params
-    K, N, p, v = params["K"], params["N"], params["p"], params["v"]
+    p, v = params["p"], params["v"]
     r = p - 1.0
-    u = faber_krahn_check(_space_for(params), v, p).instance
-    alpha, z = alpha_from_lambda(model_for(K, N), p, u.lam, v)
+    fk = faber_krahn_check(_space_for(params), v, p)
+    u = fk.instance
+    alpha, z = alpha_from_lambda(fk.model, u.lam)
     crossing, viol = chiti_compare(u, z, r)
     rep = reverse_holder(u, z, r, params["t_grid"])
     checks = [
@@ -667,13 +669,14 @@ def _run_sweep(sc: Scenario, scale: float):
     params = sc.params
     K, N, p, v = params["K"], params["N"], params["p"], params["v"]
     model = model_for(K, N)
-    seed = model_eigenpair(K, N, p, v).lam
+    up = model_eigenpair(K, N, p, v)
+    seed = up.lam
     rows, deltas = [], []
     for a in params["a_list"]:
         cap = make_shifted_cap(K, N, a, v)
         u = first_eigenpair(cap, v, p, seed=seed)
         seed = u.lam  # eigenvalues grow with the shift; reuse as bracket hint
-        alpha, z = alpha_from_lambda(model, p, u.lam, v)
+        alpha, z = alpha_from_lambda(up, u.lam)
         per_q = stability_deficits(u, z, p, params["Q"])
         delta = max(per_q)
         deltas.append(delta)

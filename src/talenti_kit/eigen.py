@@ -28,16 +28,14 @@ The remaining routines compare an instance eigenpair against the model
 one: eigenvalue domination, the single-crossing ordering of the
 symmetrized eigenfunction, reverse Hoelder norm ratios and the norm
 deficit used as a closeness diagnostic.  Model eigenpairs are solved on
-the shared model_for segment and memoized per exact (K, N, p, v) in a
-lock-guarded cache that evicts the oldest pair beyond _PAIR_CACHE_MAX
-entries; the exact key keeps a pair independent of which caller solved
-it first, and concurrent suites at worst duplicate a solve.
+the shared model_for segment and not memoized: a caller that needs the
+pair at v again holds on to it, so scenarios share nothing but the
+read-only model.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,7 +53,7 @@ from .errors import (
     NoCrossing,
     NonConvergence,
 )
-from .model_space import ModelSpace, WeightedInterval
+from .model_space import WeightedInterval
 from .radial_poisson import RadialProblem, RadialSolution, power_signed
 from .talenti_check import model_for
 
@@ -339,53 +337,34 @@ def _pair_from(space: WeightedInterval, p: float, lam: float, v: float,
                      z_end=end)
 
 
-# a scenario adds at most the model pair at its own v; a holder scenario
-# or a sweep shift adds none at its alpha, whose pair alpha_from_lambda
-# returns uncached; each pair keeps about 50 KB of profile
-_PAIR_CACHE_MAX = 256
-_PAIR_CACHE: dict[tuple, EigenPair] = {}
-_PAIR_LOCK = threading.Lock()
-
-
 def model_eigenpair(K: float, N: float, p: float, v: float) -> EigenPair:
-    """Memoized first eigenpair of the model segment at mass fraction v."""
-    key = (float(K), float(N), float(p), float(v))
-    with _PAIR_LOCK:
-        pair = _PAIR_CACHE.get(key)
-    if pair is None:
-        pair = first_eigenpair(model_for(K, N), v, p)
-        with _PAIR_LOCK:
-            _PAIR_CACHE[key] = pair
-            while len(_PAIR_CACHE) > _PAIR_CACHE_MAX:
-                del _PAIR_CACHE[next(iter(_PAIR_CACHE))]
-    return pair
+    """First eigenpair of the model segment at mass fraction v."""
+    return first_eigenpair(model_for(K, N), v, p)
 
 
-def alpha_from_lambda(model: ModelSpace, p: float, lambda_target: float,
-                      v_upper: float) -> tuple[float, EigenPair]:
-    """Mass fraction alpha <= v_upper whose model eigenvalue hits the
+def alpha_from_lambda(up: EigenPair,
+                      lambda_target: float) -> tuple[float, EigenPair]:
+    """Mass fraction alpha <= up.v whose model eigenvalue hits the
     target, and the model eigenpair at alpha.
 
-    The first zero of the model shooting solution decreases strictly in
-    lam, so the ball on which lambda_target is the first eigenvalue ends
-    at the first zero r0 of the solution shot at lam = lambda_target,
-    and alpha = H(r0).  One integration on [0, r(v_upper)] finds it; no
-    search over alpha and no model eigenpair solve besides the cached
-    one at v_upper, which decides the cases below.  The same integration,
-    up to r0, is the returned pair, so its eigenvalue is lambda_target
-    by construction.  A target within 1e-9 * target of lambda(v_upper),
-    or under it by less than the relative gate, returns v_upper and the
-    cached pair there; a target further below raises NoBracket, and a
-    solution with no zero inside r(v_upper) raises NonConvergence.
+    up is the model eigenpair at the upper mass fraction v_upper = up.v,
+    which the caller already holds; its space, p and v give the model,
+    the exponent and the upper bound.  The first zero of the model
+    shooting solution decreases strictly in lam, so the ball on which
+    lambda_target is the first eigenvalue ends at the first zero r0 of
+    the solution shot at lam = lambda_target, and alpha = H(r0).  One
+    integration on [0, r(v_upper)] finds it; no search over alpha and
+    no model eigenpair solve.  The same integration, up to r0, is the
+    returned pair, so its eigenvalue is lambda_target by construction.
+    A target within 1e-9 * target of up.lam, or under it by less than
+    the relative gate, returns v_upper and up itself; a target further
+    below raises NoBracket, and a solution with no zero inside
+    r(v_upper) raises NonConvergence.
     """
-    if not (p > 1.0 and math.isfinite(p)):
-        raise InvalidParameter(f"exponent p={p} must exceed 1")
-    if not (0.0 < v_upper < 1.0):
-        raise InvalidMass(f"v_upper={v_upper} must lie in (0, 1)")
     if not (lambda_target > 0.0 and math.isfinite(lambda_target)):
         raise InvalidParameter("lambda_target must be positive and finite")
 
-    up = model_eigenpair(model.K, model.N, p, v_upper)
+    model, p, v_upper = up.space, up.p, up.v
     gate = max(1e-6 * lambda_target, 1e-9)
     if lambda_target < up.lam - gate:
         raise NoBracket(
@@ -396,7 +375,7 @@ def alpha_from_lambda(model: ModelSpace, p: float, lambda_target: float,
             or abs(up.lam - lambda_target) <= 1e-9 * lambda_target):
         return v_upper, up
 
-    r_up = float(model.inverse_cumulative(v_upper))
+    r_up = up.r_alpha
     eps = 1e-6 * r_up
     r0, interp = _first_zero(model, p, lambda_target, eps, r_up, True)
     if interp is None or not math.isfinite(r0):

@@ -45,27 +45,25 @@ from .errors import (
 )
 
 _EPS = float(np.finfo(float).eps)
+# dyadic refinement depth at which integrate gives up on a panel
+MAX_SUBDIVISIONS = 60
 
 
 @dataclass(frozen=True)
 class Tolerance:
     """Accuracy targets shared by the iterative kernels.
 
-    rel must stay above 8 machine epsilons and abs must be positive;
-    max_subdivisions bounds the dyadic refinement depth.
+    rel must stay above 8 machine epsilons and abs must be positive.
     """
 
     rel: float = 1e-10
     abs: float = 1e-12
-    max_subdivisions: int = 60
 
     def __post_init__(self) -> None:
         if not (self.rel >= 8.0 * _EPS):
             raise InvalidParameter(f"rel={self.rel} must be >= 8*eps")
         if not (self.abs > 0.0):
             raise InvalidParameter(f"abs={self.abs} must be positive")
-        if self.max_subdivisions < 1:
-            raise InvalidParameter("max_subdivisions must be a positive integer")
 
 
 DEFAULT_TOL = Tolerance()
@@ -222,7 +220,7 @@ def integrate(f, a: float, b: float, tol: Tolerance | None = None) -> float:
 
     Integrable endpoint singularities are summed by geometric tail
     extrapolation; non-integrable ones raise Divergence.  Interior
-    trouble that survives max_subdivisions bisections raises
+    trouble that survives MAX_SUBDIVISIONS bisections raises
     NonConvergence.
     """
     tol = tol or DEFAULT_TOL
@@ -234,7 +232,7 @@ def integrate(f, a: float, b: float, tol: Tolerance | None = None) -> float:
         raise InvalidParameter("integration needs a <= b")
 
     # depth at which an endpoint-touching panel is handed to the tail loop
-    tail_depth = min(12, tol.max_subdivisions)
+    tail_depth = 12
 
     (val,), (err,) = _panels(f, [a], [b])
     heap: list[tuple[float, int, float, float, float, float, int]] = []
@@ -269,7 +267,7 @@ def integrate(f, a: float, b: float, tol: Tolerance | None = None) -> float:
             else:
                 right_done = True
             continue
-        if depth >= tol.max_subdivisions:
+        if depth >= MAX_SUBDIVISIONS:
             raise NonConvergence(
                 f"panel [{pa}, {pb}] still fails tolerance at depth {depth}"
             )

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -253,10 +253,6 @@ class EmbeddingConstants:
     c1: float | DivergentType
     c2: float | DivergentType | None
 
-    @property
-    def key(self) -> tuple[float, float, float | None]:
-        return (self.p, self.s, self.t)
-
 
 def embedding_constants(K: float, N: float, v: float, p: float, s: float,
                         t: float | None = None) -> EmbeddingConstants:
@@ -266,24 +262,6 @@ def embedding_constants(K: float, N: float, v: float, p: float, s: float,
     return EmbeddingConstants(K=float(K), N=float(N), v=float(v), p=float(p),
                               s=float(s), t=None if t is None else float(t),
                               c1=c1, c2=c2)
-
-
-def constants_table(K: float, N: float, v: float,
-                    specs: Iterable[tuple]) -> dict[tuple, EmbeddingConstants]:
-    """Constants for a batch of (p, s) or (p, s, t) requests, keyed by
-    (p, s, t)."""
-    out: dict[tuple, EmbeddingConstants] = {}
-    for spec in specs:
-        if len(spec) == 2:
-            p, s = spec
-            t = None
-        elif len(spec) == 3:
-            p, s, t = spec
-        else:
-            raise InvalidParameter(f"spec {spec!r} must be (p, s) or (p, s, t)")
-        row = embedding_constants(K, N, v, p, s, t)
-        out[row.key] = row
-    return out
 
 
 class EmbeddingCheck(NamedTuple):

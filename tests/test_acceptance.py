@@ -116,7 +116,6 @@ def poisson_set():
 def eigen_suite():
     """Eigen pipeline over the cap grid plus model self-comparisons."""
     caps, models = [], []
-    model = model_for(2.0, 3.0)
     ival = model_for(2.0, 3.0)
     for p in EIGEN_PS:
         r = p - 1.0
@@ -127,7 +126,7 @@ def eigen_suite():
         for a in EIGEN_AS:
             cap = make_shifted_cap(2.0, 3.0, a, EIGEN_V)
             u = first_eigenpair(cap, EIGEN_V, p, seed=zv.lam)
-            _, z = alpha_from_lambda(model, p, u.lam, EIGEN_V)
+            _, z = alpha_from_lambda(zv, u.lam)
             crossing, viol = chiti_compare(u, z, r)
             caps.append({
                 "label": f"p={p} a={a}",

@@ -28,6 +28,7 @@ from talenti_kit.cli import (
     parse_scenarios_text,
     suite_scenarios,
 )
+from talenti_kit.model_space import WeightedInterval
 from talenti_kit.talenti_check import make_shifted_cap, model_for
 
 MIXED = """\
@@ -551,8 +552,6 @@ class TestCallOrder:
              "v = 0.4\na_list = 0.1 0.2 0.3 0.4\nQ = 2 4\n")
 
     def _sweep_csv(self, base, tag, text, monkeypatch, jobs=1):
-        # each run starts from an empty model eigenpair cache
-        monkeypatch.setattr(eigen, "_PAIR_CACHE", {})
         ini = base / f"{tag}.ini"
         ini.write_text(text)
         main(["run", str(ini), "--out", str(base / tag),
@@ -590,12 +589,20 @@ class TestSharedSolves:
     def test_holder_solves_two_eigenpairs(self, tmp_path, monkeypatch):
         # the model pair at v and the instance pair; the model pair at
         # alpha comes from the integration that finds alpha
-        monkeypatch.setattr(eigen, "_PAIR_CACHE", {})
         calls = []
         self._count(monkeypatch, eigen, ["first_eigenpair"], calls)
         out = run_text(tmp_path, TestCallOrder.HOLDER, monkeypatch)
         assert read_record(out, "hold")["status"] == "pass"
         assert len(calls) == 2
+
+    def test_sweep_solves_one_model_pair(self, tmp_path, monkeypatch):
+        # the model pair at v once, then one instance pair per shift;
+        # every shift's alpha_from_lambda reuses the pair at v
+        calls = []
+        self._count(monkeypatch, eigen, ["first_eigenpair"], calls)
+        out = run_text(tmp_path, TestCallOrder.SWEEP, monkeypatch)
+        assert read_record(out, "sweep")["status"] == "pass"
+        assert len(calls) == 4 + 1
 
     def test_sobolev_computes_each_constant_once(self, tmp_path, monkeypatch):
         # the README example: the row at s reuses the check's c2
@@ -632,6 +639,28 @@ class TestBoundaryZero:
         assert word == "pass"
         assert z_end != 0.0
         assert slack == 1e-6 - abs(z_end)
+
+
+class TestUnitMass:
+    """model-probe gates the model's table mass before normalization."""
+
+    def _slack(self, tmp_path, monkeypatch, extra=""):
+        out = run_text(tmp_path, TINY + extra, monkeypatch)
+        word, *_, slack = read_record(out, "probe")[
+            "check.unit-mass"].split()
+        return word, float(slack)
+
+    def test_tiny_scale_fails(self, tmp_path, monkeypatch):
+        word, _ = self._slack(tmp_path, monkeypatch, "tol_scale = 1e-30\n")
+        assert word == "fail"
+
+    def test_slack_is_budget_minus_table_gap(self, tmp_path, monkeypatch):
+        word, slack = self._slack(tmp_path, monkeypatch)
+        model = model_for(2.0, 3.0)
+        raw = float(WeightedInterval.cumulative(model, model.L))
+        assert word == "pass"
+        assert raw != 1.0
+        assert slack == 1e-9 - abs(raw - 1.0)
 
 
 class TestExitCodes:

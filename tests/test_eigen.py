@@ -61,10 +61,15 @@ def cap_pair_p2(cap):
 
 
 @pytest.fixture(scope="module")
-def chiti_pipeline(cap_pair_p2):
+def model_pair_p2():
+    return model_eigenpair(2.0, 3.0, 2.0, 0.4)
+
+
+@pytest.fixture(scope="module")
+def chiti_pipeline(cap_pair_p2, model_pair_p2):
     """Instance pair, matched mass and the model pair at that mass."""
     u = cap_pair_p2
-    alpha, z = alpha_from_lambda(model_for(2.0, 3.0), 2.0, u.lam, 0.4)
+    alpha, z = alpha_from_lambda(model_pair_p2, u.lam)
     return u, alpha, z
 
 
@@ -162,29 +167,36 @@ class TestFemCrossCheck:
 class TestAlphaFromLambda:
     def test_fixed_point(self):
         pair = model_eigenpair(2.0, 3.0, 2.0, 0.45)
-        alpha, z = alpha_from_lambda(model_for(2.0, 3.0), 2.0, pair.lam, 0.45)
+        alpha, z = alpha_from_lambda(pair, pair.lam)
         assert alpha == 0.45
         assert z is pair
 
+    def test_target_within_gate_below_returns_up(self, model_pair_p2):
+        # under up.lam by less than the 1e-6 relative gate: no bracket
+        # error, and the short-cut hands back the caller's pair
+        up = model_pair_p2
+        alpha, z = alpha_from_lambda(up, up.lam * (1.0 - 1e-7))
+        assert alpha == up.v
+        assert z is up
+
     def test_half_mass_anchor(self):
-        alpha, _ = alpha_from_lambda(model_for(2.0, 3.0), 2.0, 3.0, 0.7)
+        alpha, _ = alpha_from_lambda(model_eigenpair(2.0, 3.0, 2.0, 0.7), 3.0)
         assert alpha == pytest.approx(0.5, abs=1e-6)
 
     def test_larger_target_means_smaller_mass(self):
-        lam_up = model_eigenpair(2.0, 3.0, 2.0, 0.6).lam
-        alpha, _ = alpha_from_lambda(model_for(2.0, 3.0), 2.0, 2.0 * lam_up,
-                                     0.6)
+        up = model_eigenpair(2.0, 3.0, 2.0, 0.6)
+        alpha, _ = alpha_from_lambda(up, 2.0 * up.lam)
         assert 0.0 < alpha < 0.6
         check = model_eigenpair(2.0, 3.0, 2.0, alpha).lam
-        assert check == pytest.approx(2.0 * lam_up, rel=1e-8)
+        assert check == pytest.approx(2.0 * up.lam, rel=1e-8)
 
     def test_no_bracket_below_upper_eigenvalue(self):
-        lam_up = model_eigenpair(2.0, 3.0, 2.0, 0.7).lam
+        up = model_eigenpair(2.0, 3.0, 2.0, 0.7)
         with pytest.raises(NoBracket):
-            alpha_from_lambda(model_for(2.0, 3.0), 2.0, 0.5 * lam_up, 0.7)
+            alpha_from_lambda(up, 0.5 * up.lam)
 
     def test_one_integration_no_eigenpair_solve(self, monkeypatch):
-        lam_up = model_eigenpair(2.0, 3.0, 2.0, 0.6).lam
+        up = model_eigenpair(2.0, 3.0, 2.0, 0.6)
         calls = []
         real = eigen.first_eigenpair
 
@@ -193,8 +205,7 @@ class TestAlphaFromLambda:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(eigen, "first_eigenpair", counting)
-        alpha, _ = alpha_from_lambda(model_for(2.0, 3.0), 2.0, 1.5 * lam_up,
-                                     0.6)
+        alpha, _ = alpha_from_lambda(up, 1.5 * up.lam)
         assert 0.0 < alpha < 0.6
         assert calls == []
 
@@ -202,9 +213,9 @@ class TestAlphaFromLambda:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_model_eigenvalue_hits_cap_target(self, p, a):
         cap = make_shifted_cap(2.0, 3.0, a, 0.4)
-        target = first_eigenpair(
-            cap, 0.4, p, seed=model_eigenpair(2.0, 3.0, p, 0.4).lam).lam
-        alpha, z = alpha_from_lambda(model_for(2.0, 3.0), p, target, 0.4)
+        up = model_eigenpair(2.0, 3.0, p, 0.4)
+        target = first_eigenpair(cap, 0.4, p, seed=up.lam).lam
+        alpha, z = alpha_from_lambda(up, target)
         fresh = model_eigenpair(2.0, 3.0, p, alpha)
         assert abs(fresh.lam - target) <= 1e-11 * target
         # the returned pair is the model pair at alpha, with the target
@@ -215,11 +226,11 @@ class TestAlphaFromLambda:
         assert np.max(np.abs(z.z_at(grid) - fresh.sol.w)) <= 1e-10
 
     def test_no_zero_inside_raises(self, monkeypatch):
-        lam_up = model_eigenpair(2.0, 3.0, 2.0, 0.6).lam
+        up = model_eigenpair(2.0, 3.0, 2.0, 0.6)
         monkeypatch.setattr(eigen, "_first_zero",
                             lambda *args: (math.inf, None))
         with pytest.raises(NonConvergence):
-            alpha_from_lambda(model_for(2.0, 3.0), 2.0, 2.0 * lam_up, 0.6)
+            alpha_from_lambda(up, 2.0 * up.lam)
 
 
 class TestFaberKrahn:
@@ -264,10 +275,10 @@ class TestChiti:
         assert np.max(d[x <= r1]) <= 1e-6
         assert np.min(d[x >= r1]) >= -1e-6
 
-    def test_model_degenerate_equality(self):
+    def test_model_degenerate_equality(self, model_pair_p2):
         cap0 = make_shifted_cap(2.0, 3.0, 0.0)
         u = first_eigenpair(cap0, 0.4, 2.0)
-        _, z = alpha_from_lambda(model_for(2.0, 3.0), 2.0, u.lam, 0.4)
+        _, z = alpha_from_lambda(model_pair_p2, u.lam)
         r1, viol = chiti_compare(u, z, 1.0)
         assert r1 == z.r_alpha
         assert viol == 0.0
@@ -338,13 +349,12 @@ class TestStabilityDeficit:
         z = model_eigenpair(2.0, 3.0, 2.0, 0.4)
         assert max(stability_deficits(z, z, 2.0, [2.0, 3.0])) <= 1e-10
 
-    def test_grows_with_shift(self):
-        model = model_for(2.0, 3.0)
+    def test_grows_with_shift(self, model_pair_p2):
         deltas = []
         for a in (0.1, 0.25, 0.4):
             space = make_shifted_cap(2.0, 3.0, a)
             u = first_eigenpair(space, 0.4, 2.0)
-            _, z = alpha_from_lambda(model, 2.0, u.lam, 0.4)
+            _, z = alpha_from_lambda(model_pair_p2, u.lam)
             deltas.append(max(stability_deficits(u, z, 2.0, [2.0, 3.0])))
         assert deltas[0] > 0.0
         assert deltas[0] < deltas[1] < deltas[2]
@@ -352,7 +362,7 @@ class TestStabilityDeficit:
     def test_subquadratic_branch_formula(self, cap):
         p = 1.5
         u = first_eigenpair(cap, 0.4, p)
-        _, z = alpha_from_lambda(model_for(2.0, 3.0), p, u.lam, 0.4)
+        _, z = alpha_from_lambda(model_eigenpair(2.0, 3.0, p, 0.4), u.lam)
         got = max(stability_deficits(u, z, p, [1.0, 2.0]))
         c = lp_norm(u, p - 1.0) / lp_norm(z, p - 1.0)
         want = max(
@@ -421,29 +431,7 @@ class TestPropertySweep:
 
 
 class TestModelPairCache:
+    """Model pairs are not cached; they share the model_for segment."""
+
     def test_pair_lives_on_the_shared_model(self):
         assert model_eigenpair(2.0, 3.0, 2.0, 0.4).space is model_for(2.0, 3.0)
-
-    def test_cache_stays_within_its_cap(self, monkeypatch):
-        solved = []
-
-        def fake_solve(space, v, p):
-            solved.append(v)
-            return ("pair", v)
-
-        monkeypatch.setattr(eigen, "_PAIR_CACHE", {})
-        monkeypatch.setattr(eigen, "_PAIR_CACHE_MAX", 3)
-        monkeypatch.setattr(eigen, "first_eigenpair", fake_solve)
-        vs = [0.1 + 0.05 * k + 1e-14 for k in range(6)]
-        for v in vs:
-            assert model_eigenpair(2.0, 3.0, 2.0, v) == ("pair", v)
-            assert len(eigen._PAIR_CACHE) <= 3
-        # a miss solves at the unrounded v; the three newest are hits
-        assert solved == vs
-        for v in vs[-3:]:
-            model_eigenpair(2.0, 3.0, 2.0, v)
-        assert solved == vs
-        # the oldest entry goes first
-        model_eigenpair(2.0, 3.0, 2.0, 0.9)
-        keys = [key[3] for key in eigen._PAIR_CACHE]
-        assert keys == [vs[4], vs[5], 0.9]

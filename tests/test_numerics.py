@@ -167,7 +167,7 @@ class TestGrid:
 class TestTolerance:
     def test_defaults(self):
         t = Tolerance()
-        assert t.rel == 1e-10 and t.abs == 1e-12 and t.max_subdivisions == 60
+        assert t.rel == 1e-10 and t.abs == 1e-12
 
     def test_rejects_tiny_rel(self):
         with pytest.raises(InvalidParameter):

@@ -31,7 +31,6 @@ from talenti_kit.sobolev_embed import (
     c1_constant,
     c2_constant,
     check_embedding,
-    constants_table,
     embedding_constants,
     is_divergent,
 )
@@ -198,18 +197,9 @@ class TestTables:
         assert is_divergent(row.c1) and is_divergent(row.c2)
         assert float(row.c1) == math.inf
 
-    def test_table_keying(self):
-        table = constants_table(2.0, 3.0, 0.5, [
-            (2.0, math.inf),
-            (2.0, 1.5, 2.0),
-        ])
-        assert set(table) == {(2.0, math.inf, None), (2.0, 1.5, 2.0)}
-        assert table[(2.0, 1.5, 2.0)].c2 == pytest.approx(
-            0.52099904638863054, rel=1e-10)
-
-    def test_table_rejects_bad_spec(self):
-        with pytest.raises(InvalidParameter):
-            constants_table(2.0, 3.0, 0.5, [(2.0,)])
+    def test_frozen_c2(self):
+        row = embedding_constants(2.0, 3.0, 0.5, 2.0, 1.5, t=2.0)
+        assert row.c2 == pytest.approx(0.52099904638863054, rel=1e-10)
 
 
 class TestCheckEmbedding:
