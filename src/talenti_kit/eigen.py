@@ -136,7 +136,10 @@ class HolderReport:
 
 
 def _rhs_factory(space: WeightedInterval, p: float, lam: float):
-    dens = space.density
+    # the density function, not the bound method: DOP853 keeps the RHS in
+    # a reference cycle, which would hold the space and its table until a
+    # full garbage collection
+    dens = space._density
     e = 1.0 / (p - 1.0)
     pm1 = p - 1.0
 

@@ -19,8 +19,10 @@ Everything downstream leans on four primitives that live here:
 
 * ``MonotoneTable``: a tabulated cumulative of a positive density on
   ``[0, L]`` with machine-accurate pointwise evaluation (table value at
-  the nearest node plus one Kronrod panel for the remainder) and a
-  vectorized, per-point guarded Newton inverse.
+  the nearest node plus one Clenshaw sum of the cell's Chebyshev
+  antiderivative, built from the same Kronrod node values; the two end
+  cells integrate one Kronrod panel instead) and a vectorized,
+  per-point guarded Newton inverse.
 
 Integrands passed to these kernels must accept numpy arrays and evaluate
 elementwise; none of the rules ever samples an interval endpoint, so
@@ -34,6 +36,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import chebyshev as _cheb
 from scipy.optimize import brentq
 
 from .errors import (
@@ -134,16 +137,39 @@ _WEIGHTS_G = np.concatenate([_WG[:-1], _WG[::-1]])
 _OFFSETS = 0.5 * (_NODES + 1.0)                             # in (0, 1)
 
 
+def _antiderivative_row(j: int) -> np.ndarray:
+    """Chebyshev coefficients of the antiderivative, zero at -1, of the
+    Lagrange polynomial that is 1 at Kronrod node j and 0 at the others."""
+    basis = _cheb.chebfromroots(np.delete(_NODES, j))
+    return _cheb.chebint(basis / _cheb.chebval(_NODES[j], basis), lbnd=-1.0)
+
+
+# Node values times this 15x16 map are the Chebyshev coefficients on
+# [-1, 1] of the antiderivative, zero at -1, of the degree-14 interpolant
+# through the nodes; its value at 1 is the K15 sum.  Built from products
+# of roots, so no LAPACK call is made at import.
+_ANTIDERIV = np.array([_antiderivative_row(j) for j in range(15)])
+
+
+def _node_values(f, lefts: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """f at the 15 Kronrod nodes of each panel, one row per panel."""
+    pts = lefts[:, None] + widths[:, None] * _OFFSETS[None, :]
+    return np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
+
+
 def _panels(f, lefts: np.ndarray, rights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kronrod value and |K15 - G7| error estimate for a batch of panels."""
+    """Kronrod value and |K15 - G7| error estimate for a batch of panels.
+
+    The 15-point contractions go through einsum, not BLAS: a threaded
+    matrix-vector product this small costs CPU without saving time.
+    """
     lefts = np.atleast_1d(np.asarray(lefts, dtype=float))
     rights = np.atleast_1d(np.asarray(rights, dtype=float))
     widths = rights - lefts
-    pts = lefts[:, None] + widths[:, None] * _OFFSETS[None, :]
-    vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
+    vals = _node_values(f, lefts, widths)
     half = 0.5 * widths
-    k15 = half * (vals @ _WEIGHTS_K)
-    g7 = half * (vals[:, _GAUSS_IDX] @ _WEIGHTS_G)
+    k15 = half * np.einsum("ij,j->i", vals, _WEIGHTS_K)
+    g7 = half * np.einsum("ij,j->i", vals[:, _GAUSS_IDX], _WEIGHTS_G)
     return k15, np.abs(k15 - g7)
 
 
@@ -346,20 +372,24 @@ _NEWTON_ROUNDS = 100
 class MonotoneTable:
     """Tabulated cumulative of a positive density on [0, length].
 
-    The density is integrated once over a cosine-clustered grid (one
-    Kronrod panel per half cell); pointwise values are then the table
-    entry at the nearest node below plus a single Kronrod panel for the
-    remainder, which keeps evaluation at machine accuracy without any
-    interpolation error.  The inverse runs a vectorized guarded Newton
-    iteration inside the bracketing table cell, with the density as the
-    derivative.  Each point starts from a power-law guess fitted to its
-    cell, exact when the cell cumulative is c*(t - lo)**k; the fit
-    samples the density at the cell's right edge, and a non-finite value
-    there gives a linear guess.  Steps that would leave the shrinking
-    bracket fall back to bisection, each point stops on its own Newton
-    step, and targets 0 and total are pinned to the endpoints without
-    iterating.  Points still unsettled after _NEWTON_ROUNDS rounds raise
-    NonConvergence.
+    The density is evaluated once at the 15 Kronrod nodes of every cell
+    of a cosine-clustered grid (two cells per grid interval).  The
+    Kronrod sums give the table entries, and a fixed linear map turns
+    the same values into the Chebyshev coefficients of each cell's
+    antiderivative.  A pointwise value is the table entry at the nearest
+    node below plus one Clenshaw sum in that cell, with no density call.
+    The first and last cells, where the density may vanish like a power
+    and only a relative error is meaningful, integrate one Kronrod
+    panel over the remainder instead.  The inverse runs a vectorized
+    guarded Newton iteration inside the bracketing cell on the same
+    sums, with the density as the derivative.  Each point starts from a
+    power-law guess fitted to its cell, exact when the cell cumulative
+    is c*(t - lo)**k; the fit samples the density at the cell's right
+    edge, and a non-finite value there gives a linear guess.  Steps that
+    would leave the shrinking bracket fall back to bisection, each point
+    stops on its own Newton step, and targets 0 and total are pinned to
+    the endpoints without iterating.  Points still unsettled after
+    _NEWTON_ROUNDS rounds raise NonConvergence.
     """
 
     def __init__(self, density, length: float, n_cells: int = 4096,
@@ -372,7 +402,7 @@ class MonotoneTable:
         pins = np.asarray(knots, dtype=float)
         if pins.size:
             # pin known kinks/jumps of the density to cell edges so no
-            # panel straddles them; panels stay spectrally accurate
+            # cell straddles them; cells stay spectrally accurate
             if np.any(pins <= 0.0) or np.any(pins >= self.length):
                 raise InvalidParameter("knots must lie strictly inside (0, length)")
             base = np.unique(np.concatenate([base, pins]))
@@ -380,16 +410,30 @@ class MonotoneTable:
         fine[0::2] = base
         fine[1::2] = 0.5 * (base[:-1] + base[1:])
         self._x = fine
-        inc, _ = _panels(density, fine[:-1], fine[1:])
-        table = np.concatenate([[0.0], np.cumsum(inc)])
-        self._c = table
-        self.total = float(table[-1])
+        widths = np.diff(fine)
+        vals = _node_values(density, fine[:-1], widths)
+        half = 0.5 * widths
+        inc = half * np.einsum("ij,j->i", vals, _WEIGHTS_K)
+        self._c = np.concatenate([[0.0], np.cumsum(inc)])
+        self.total = float(self._c[-1])
+        # one row per Chebyshev degree: a query gathers row by row
+        self._coef = np.einsum("ij,jk->ki", vals, _ANTIDERIV)
+        self._coef *= half
 
-    def _residual(self, x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
-        width = x1 - x0
-        pts = x0[:, None] + width[:, None] * _OFFSETS[None, :]
-        vals = np.asarray(self.density(pts.ravel()), dtype=float).reshape(pts.shape)
-        return 0.5 * width * (vals @ _WEIGHTS_K)
+    def _increment(self, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Integral of the density over [x[idx], t] for t in cell idx."""
+        x0 = self._x[idx]
+        s = 2.0 * (t - x0) / (self._x[idx + 1] - x0) - 1.0
+        # Clenshaw's recurrence, gathering one coefficient row at a time
+        s2 = 2.0 * s
+        b1, b2 = self._coef[-1, idx], 0.0
+        for row in self._coef[-2:0:-1]:
+            b1, b2 = row[idx] + s2 * b1 - b2, b1
+        out = self._coef[0, idx] + s * b1 - b2
+        end = np.flatnonzero((idx == 0) | (idx == self._x.size - 2))
+        if end.size:
+            out[end] = _panels(self.density, x0[end], t[end])[0]
+        return out
 
     def cumulative(self, t):
         """Integral of the density over [0, t]; accepts scalars or arrays."""
@@ -400,7 +444,7 @@ class MonotoneTable:
         clipped = np.clip(arr, 0.0, self.length)
         idx = np.clip(np.searchsorted(self._x, clipped, side="right") - 1,
                       0, self._x.size - 2)
-        out = self._c[idx] + self._residual(self._x[idx], clipped)
+        out = self._c[idx] + self._increment(idx, clipped)
         out = np.clip(out, 0.0, self.total)
         return out if np.ndim(t) else float(out[0])
 
@@ -420,8 +464,7 @@ class MonotoneTable:
     def _solve(self, target: np.ndarray) -> np.ndarray:
         """Guarded Newton for targets strictly inside (0, total)."""
         idx = np.searchsorted(self._c, target, side="right") - 1
-        x0 = self._x[idx]
-        lo = x0
+        lo = self._x[idx]
         hi = self._x[idx + 1]
         base = self._c[idx]
         mass = self._c[idx + 1] - base
@@ -440,7 +483,7 @@ class MonotoneTable:
         # each point stops on its own Newton step, tested before the
         # bracket guard; steps leaving the bracket fall back to bisection
         for _ in range(_NEWTON_ROUNDS):
-            ft = base + self._residual(x0, t) - target
+            ft = base + self._increment(idx, t) - target
             below = ft < 0.0
             lo = np.where(below, t, lo)
             hi = np.where(below, hi, t)
@@ -456,7 +499,7 @@ class MonotoneTable:
             if not keep.any():
                 return out
             todo, t, target = todo[keep], tn[keep], target[keep]
-            x0, lo, hi, base = x0[keep], lo[keep], hi[keep], base[keep]
+            idx, lo, hi, base = idx[keep], lo[keep], hi[keep], base[keep]
         raise NonConvergence(
             f"table inverse left {todo.size} of {out.size} points unsettled "
             f"after {_NEWTON_ROUNDS} Newton rounds")

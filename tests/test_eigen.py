@@ -8,7 +8,9 @@ by frozen shooting values reproduced at build time.
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -435,3 +437,19 @@ class TestModelPairCache:
 
     def test_pair_lives_on_the_shared_model(self):
         assert model_eigenpair(2.0, 3.0, 2.0, 0.4).space is model_for(2.0, 3.0)
+
+
+class TestCapLifetime:
+    def test_cap_is_freed_after_shooting(self):
+        # reference counting alone must free a cap and its table once the
+        # caller drops the pair: the solver's own cycles may not hold them
+        gc.disable()
+        try:
+            cap = make_shifted_cap(2, 3, 0.25, 0.4)
+            pair = first_eigenpair(cap, 0.4, 2.0)
+            cap_ref, table_ref = weakref.ref(cap), weakref.ref(cap._table)
+            del pair, cap
+            assert cap_ref() is None
+            assert table_ref() is None
+        finally:
+            gc.enable()

@@ -229,3 +229,51 @@ class TestMonotoneTable:
         monkeypatch.setattr(numerics, "_NEWTON_ROUNDS", 1)
         with pytest.raises(NonConvergence):
             self.table.inverse(np.linspace(0.05, 0.95, 7))
+
+    def test_interior_queries_make_no_density_calls(self):
+        calls = []
+
+        def density(t):
+            calls.append(1)
+            return np.sin(np.asarray(t, dtype=float)) ** 2
+
+        table = MonotoneTable(density, math.pi, n_cells=1024)
+        calls.clear()
+        table.cumulative(np.linspace(0.01, math.pi - 0.01, 10_000))
+        assert calls == []
+        # the end cells integrate a Kronrod panel over the remainder
+        table.cumulative(np.array([1e-7, math.pi - 1e-7]))
+        assert len(calls) == 1
+
+    def test_cumulative_against_closed_form_at_many_points(self):
+        ts = np.linspace(0.0, math.pi, 10_000)
+        exact = (ts - np.sin(ts) * np.cos(ts)) / math.pi
+        err = np.max(np.abs(self.table.cumulative(ts) - exact))
+        assert err <= 1e-13 * self.table.total
+
+    def test_cumulative_of_pinned_jump_against_closed_form(self):
+        jump = 0.7
+        table = MonotoneTable(
+            lambda t: np.where(np.asarray(t, dtype=float) < jump, 1.0, 3.0),
+            2.0, n_cells=1024, knots=(jump,))
+        ts = np.linspace(0.0, 2.0, 10_000)
+        exact = np.where(ts < jump, ts, jump + 3.0 * (ts - jump))
+        assert table.total == pytest.approx(4.6, rel=1e-14)
+        err = np.max(np.abs(table.cumulative(ts) - exact))
+        assert err <= 1e-13 * table.total
+
+    @pytest.mark.parametrize("density", [
+        lambda t: np.sin(np.asarray(t, dtype=float)) ** 2,
+        lambda t: np.exp(np.asarray(t, dtype=float)),
+    ], ids=["vanishing", "positive"])
+    def test_inverse_round_trip_relative_in_every_cell(self, density):
+        # masses down to 1e-30 land in the first cell; with a density
+        # positive at the right end, masses within 1e-15 of the total
+        # land in the last one
+        table = MonotoneTable(density, math.pi, n_cells=1024)
+        vs = table.total * np.concatenate([
+            np.logspace(-30.0, -1.0, 59),
+            np.linspace(0.05, 0.95, 1001),
+            1.0 - np.logspace(-15.0, -2.0, 27)])
+        back = table.cumulative(table.inverse(vs))
+        assert np.max(np.abs(back - vs) / vs) < 1e-12
