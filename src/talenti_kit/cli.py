@@ -51,7 +51,7 @@ from .eigen import (alpha_from_lambda, chiti_compare, faber_krahn_check,
                     first_eigenpair, model_eigenpair, reverse_holder,
                     stability_deficits)
 from .errors import ParseError
-from .model_space import WeightedInterval
+from .model_space import WeightedInterval, sine_power
 from .radial_poisson import (RadialProblem, gradient_norm, gradient_norm_mass,
                              solve_explicit, solve_mass_form, weak_residual)
 from .rearrangement import StepFunction, decreasing_rearrangement, lp_norm, \
@@ -208,15 +208,11 @@ def _geometry(name: str, kv: dict, need_p: bool = True,
     return params
 
 
-def _half_length(K: float, N: float) -> float:
-    return 0.5 * math.pi * math.sqrt((N - 1.0) / K)
-
-
 def _shift(name: str, kv: dict, K: float, N: float) -> float:
     raw = kv.pop("a", None)
     if raw is None:
         return 0.0
-    half = _half_length(K, N)
+    half = 0.5 * sine_power(K, N)[1]
     return _num(name, "a", raw, lambda x: 0.0 <= x < half,
                 f"must lie in [0, {half:.6g}) for this K, N")
 
@@ -292,7 +288,7 @@ def _parse_sobolev(name: str, kv: dict) -> dict:
 def _parse_sweep(name: str, kv: dict) -> dict:
     params = _geometry(name, kv)
     p = params["p"]
-    half = _half_length(params["K"], params["N"])
+    half = 0.5 * sine_power(params["K"], params["N"])[1]
     raw = kv.pop("a_list", None)
     if raw is None:
         params["a_list"] = tuple(0.05 * k for k in range(1, 11))

@@ -327,7 +327,7 @@ def _pair_from(space: WeightedInterval, p: float, lam: float, v: float,
             val[rest] = -interp(clipped[rest])[1]
         return val if np.ndim(rho) else float(val[0])
 
-    grid = numerics.Grid.cosine(0.0, r_v, 2048).nodes
+    grid = numerics.cosine_grid(0.0, r_v, 2048)
     w = np.asarray(z_at(grid), dtype=float)
     raw = interp(grid[(grid > eps) & (grid < r_v)])[0]
     if raw.size and float(np.min(raw)) < -1e-6:

@@ -14,7 +14,8 @@ and dimension bounds.
 
 The model is a WeightedInterval, the positive density on a segment with
 tabulated cumulative mass that every solver takes; shifted caps are
-plain instances of the same type.
+plain instances of the same type, whose density is the same sine_power
+cut at an offset.
 """
 
 from __future__ import annotations
@@ -39,12 +40,11 @@ class WeightedInterval:
     """
 
     def __init__(self, density: Callable, length: float,
-                 cd: tuple[float, float] | None = None,
-                 n_cells: int = 4096) -> None:
+                 cd: tuple[float, float] | None = None) -> None:
         self._density = density
         self.length = float(length)
         self.cd = cd
-        self._table = numerics.MonotoneTable(density, length, n_cells=n_cells)
+        self._table = numerics.MonotoneTable(density, length)
         self.total = self._table.total
 
     def density(self, t):
@@ -87,6 +87,33 @@ def check_curvature_dimension(K: float, N: float) -> None:
         raise InvalidParameter(f"dimension N={N} must exceed 1")
 
 
+def sine_power(K: float, N: float, shift: float = 0.0):
+    """Unnormalized model density cut at shift, and the segment length L.
+
+    Returns (raw, L) with L = pi * sqrt((N-1)/K) and
+    raw(t) = sin(sqrt(K/(N-1)) * (t + shift))**(N-1) on [0, L - shift].
+    A float argument goes through math.sin; array entries at and beyond
+    L - shift are pinned to the exact limit 0, since sin(pi) rounds to
+    about 1e-16.
+    """
+    scale = math.sqrt(K / (N - 1.0))
+    L = math.pi / scale
+    length = L - shift
+    expo = N - 1.0
+
+    def raw(t):
+        if isinstance(t, float):
+            if t >= length:
+                return 0.0
+            return max(math.sin(scale * (t + shift)), 0.0) ** expo
+        arr = np.atleast_1d(np.asarray(t, dtype=float))
+        out = np.maximum(np.sin(scale * (arr + shift)), 0.0) ** expo
+        out[arr >= length] = 0.0
+        return out if np.ndim(t) else float(out[0])
+
+    return raw, L
+
+
 @dataclass(frozen=True)
 class ModelConstants:
     """Small-radius comparison constants.
@@ -110,10 +137,8 @@ class ModelSpace(WeightedInterval):
         check_curvature_dimension(K, N)
         self.K = float(K)
         self.N = float(N)
-        self._scale = math.sqrt(K / (N - 1.0))
-        self.L = math.pi / self._scale
-        raw = lambda t: np.maximum(np.sin(self._scale * np.asarray(t)), 0.0) ** (N - 1.0)
-        self.c = numerics.integrate(raw, 0.0, self.L)
+        self._raw, self.L = sine_power(self.K, self.N)
+        self.c = numerics.integrate(self._raw, 0.0, self.L)
         super().__init__(self.density, self.L, cd=(self.K, self.N))
         self.total = 1.0
 
@@ -127,19 +152,11 @@ class ModelSpace(WeightedInterval):
             # scalar path for the shooting RHS: math.sin, no array setup
             if t < -slack or t > self.L + slack:
                 raise OutOfDomain(f"density argument outside [0, {self.L}]")
-            if t >= self.L:
-                return 0.0
-            s = math.sin(self._scale * max(t, 0.0))
-            return max(s, 0.0) ** (self.N - 1.0) / self.c
+            return self._raw(max(t, 0.0)) / self.c
         arr = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(arr < -slack) or np.any(arr > self.L + slack):
             raise OutOfDomain(f"density argument outside [0, {self.L}]")
-        clipped = np.clip(arr, 0.0, self.L)
-        # sin can round to a tiny negative just below L; clamp before the
-        # fractional power
-        s = np.maximum(np.sin(self._scale * clipped), 0.0)
-        out = s ** (self.N - 1.0) / self.c
-        out[clipped == self.L] = 0.0  # exact limit; sin(pi) rounds to ~1e-16
+        out = self._raw(np.clip(arr, 0.0, self.L)) / self.c
         return out if np.ndim(t) else float(out[0])
 
     def cumulative(self, t):
@@ -159,6 +176,6 @@ class ModelSpace(WeightedInterval):
     isoperimetric_profile = WeightedInterval.profile
 
     def constants(self) -> ModelConstants:
-        gamma1 = self._scale ** (self.N - 1.0) / self.c
+        gamma1 = math.sqrt(self.K / (self.N - 1.0)) ** (self.N - 1.0) / self.c
         return ModelConstants(gamma1=gamma1, gamma2=gamma1 / self.N)
 

@@ -1,6 +1,6 @@
 """Shared numerical kernels.
 
-Everything downstream leans on four primitives that live here:
+Everything downstream leans on three primitives that live here:
 
 * ``integrate``: adaptive Gauss-Kronrod quadrature on a finite interval.
   Panels are bisected by worst-error-first priority.  A panel that keeps
@@ -10,19 +10,16 @@ Everything downstream leans on four primitives that live here:
   closed form (integrable power singularities such as ``t**-0.5``) or
   declares ``Divergence`` when the annuli refuse to decay.
 
-* ``find_root``: bracketed scalar root finding (Brent) with an explicit
-  ``NoBracket`` precheck.
-
 * ``generalized_inverse``: the right inverse ``inf {t : m(t) < s}`` of a
   nonincreasing right-continuous step function, evaluated exactly from
   the step representation.
 
 * ``MonotoneTable``: a tabulated cumulative of a positive density on
-  ``[0, L]`` with machine-accurate pointwise evaluation (table value at
-  the nearest node plus one Clenshaw sum of the cell's Chebyshev
-  antiderivative, built from the same Kronrod node values; the two end
-  cells integrate one Kronrod panel instead) and a vectorized,
-  per-point guarded Newton inverse.
+  ``[0, L]`` at one fixed resolution, with machine-accurate pointwise
+  evaluation (table value at the nearest node plus one Clenshaw sum of
+  the cell's Chebyshev antiderivative, built from the same Kronrod node
+  values; the two end cells integrate one Kronrod panel instead) and a
+  vectorized, per-point guarded Newton inverse.
 
 Integrands passed to these kernels must accept numpy arrays and evaluate
 elementwise; none of the rules ever samples an interval endpoint, so
@@ -33,19 +30,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from scipy.optimize import brentq
 
-from .errors import (
-    Divergence,
-    InvalidParameter,
-    NoBracket,
-    NonConvergence,
-    OutOfDomain,
-)
+from .errors import Divergence, InvalidParameter, NonConvergence, OutOfDomain
 
 _EPS = float(np.finfo(float).eps)
 # dyadic refinement depth at which integrate gives up on a panel
@@ -72,34 +62,12 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-@dataclass(frozen=True)
-class Grid:
-    """Strictly increasing 1-D array of sample abscissas."""
-
-    nodes: np.ndarray
-
-    def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
-        if nodes.ndim != 1 or nodes.size < 2:
-            raise InvalidParameter("grid needs at least two nodes")
-        if not np.all(np.diff(nodes) > 0.0):
-            raise InvalidParameter("grid nodes must be strictly increasing")
-        object.__setattr__(self, "nodes", nodes)
-
-    def __len__(self) -> int:
-        return int(self.nodes.size)
-
-    @property
-    def spacing(self) -> np.ndarray:
-        return np.diff(self.nodes)
-
-    @staticmethod
-    def cosine(a: float, b: float, n_cells: int) -> "Grid":
-        """Chebyshev-style grid on [a, b], clustered at both endpoints."""
-        if not (b > a):
-            raise InvalidParameter("cosine grid needs b > a")
-        theta = np.linspace(0.0, math.pi, n_cells + 1)
-        return Grid(a + (b - a) * 0.5 * (1.0 - np.cos(theta)))
+def cosine_grid(a: float, b: float, n_cells: int) -> np.ndarray:
+    """n_cells + 1 Chebyshev-style abscissas on [a, b], clustered at both ends."""
+    if not (b > a):
+        raise InvalidParameter("cosine grid needs b > a")
+    theta = np.linspace(0.0, math.pi, n_cells + 1)
+    return a + (b - a) * 0.5 * (1.0 - np.cos(theta))
 
 
 # 15-point Kronrod extension of 7-point Gauss, abscissas on [-1, 1].
@@ -313,31 +281,6 @@ def integrate(f, a: float, b: float, tol: Tolerance | None = None) -> float:
     raise NonConvergence("quadrature panel budget exhausted")
 
 
-def find_root(g, lo: float, hi: float, tol: Tolerance | None = None) -> float:
-    """Root of a scalar function on a bracketing interval [lo, hi].
-
-    Requires g(lo) and g(hi) to differ in sign (NoBracket otherwise);
-    convergence is guaranteed by bisection safeguards inside Brent.
-    """
-    tol = tol or DEFAULT_TOL
-    if not (lo < hi):
-        raise InvalidParameter("find_root needs lo < hi")
-    glo = float(g(lo))
-    ghi = float(g(hi))
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    if glo * ghi > 0.0:
-        raise NoBracket(f"no sign change on [{lo}, {hi}]: g={glo:.3g},{ghi:.3g}")
-    try:
-        root = brentq(g, lo, hi, xtol=tol.abs, rtol=max(tol.rel, 4.0 * _EPS),
-                      maxiter=200)
-    except RuntimeError as exc:  # pragma: no cover - brentq rarely fails
-        raise NonConvergence(str(exc)) from exc
-    return float(root)
-
-
 def generalized_inverse(m, s: float) -> float:
     """inf { t >= 0 : m(t) < s } for a nonincreasing step function m.
 
@@ -367,16 +310,18 @@ def generalized_inverse(m, s: float) -> float:
 
 # Newton rounds the table inverse may spend before NonConvergence.
 _NEWTON_ROUNDS = 100
+# cosine grid intervals of every table; each is split into two cells
+_TABLE_CELLS = 4096
 
 
 class MonotoneTable:
     """Tabulated cumulative of a positive density on [0, length].
 
     The density is evaluated once at the 15 Kronrod nodes of every cell
-    of a cosine-clustered grid (two cells per grid interval).  The
-    Kronrod sums give the table entries, and a fixed linear map turns
-    the same values into the Chebyshev coefficients of each cell's
-    antiderivative.  A pointwise value is the table entry at the nearest
+    of a cosine-clustered grid of _TABLE_CELLS intervals, plus any
+    pinned knots (two cells per interval).  The Kronrod sums give the
+    table entries, and a fixed linear map turns the same values into
+    the Chebyshev coefficients of each cell's antiderivative.  A pointwise value is the table entry at the nearest
     node below plus one Clenshaw sum in that cell, with no density call.
     The first and last cells, where the density may vanish like a power
     and only a relative error is meaningful, integrate one Kronrod
@@ -392,13 +337,12 @@ class MonotoneTable:
     _NEWTON_ROUNDS rounds raise NonConvergence.
     """
 
-    def __init__(self, density, length: float, n_cells: int = 4096,
-                 knots=()) -> None:
+    def __init__(self, density, length: float, knots=()) -> None:
         if not (length > 0.0 and math.isfinite(length)):
             raise InvalidParameter("length must be positive and finite")
         self.density = density
         self.length = float(length)
-        base = Grid.cosine(0.0, self.length, n_cells).nodes
+        base = cosine_grid(0.0, self.length, _TABLE_CELLS)
         pins = np.asarray(knots, dtype=float)
         if pins.size:
             # pin known kinks/jumps of the density to cell edges so no

@@ -36,6 +36,10 @@ from .model_space import WeightedInterval
 from .rearrangement import StepFunction
 
 
+# cosine grid intervals of solve_explicit's output grid (the CSV rows)
+_GRID_CELLS = 4096
+
+
 def power_signed(x, e: float):
     """sign(x) * |x|**e, the odd power used by the p-Laplacian flux."""
     arr = np.asarray(x, dtype=float)
@@ -117,7 +121,7 @@ def _slope_factory(prob: RadialProblem, mass_at: Callable):
     return slope
 
 
-def solve_explicit(prob: RadialProblem, n_cells: int = 4096,
+def solve_explicit(prob: RadialProblem,
                    mass_at: Callable | None = None) -> RadialSolution:
     """Closed-form radial solution via two tabulated cumulatives.
 
@@ -135,7 +139,6 @@ def solve_explicit(prob: RadialProblem, n_cells: int = 4096,
         weighted = lambda t: np.asarray(prob.f(t), dtype=float) * \
             np.asarray(prob.space.density(t), dtype=float)
         mass_table = numerics.MonotoneTable(weighted, prob.r1,
-                                            n_cells=n_cells,
                                             knots=prob.inner_knots)
         mass_at = mass_table.cumulative
     slope = _slope_factory(prob, mass_at)
@@ -158,7 +161,7 @@ def solve_explicit(prob: RadialProblem, n_cells: int = 4096,
             raise IntegrabilityFailure(
                 "slope is not integrable up to r1; no bounded solution "
                 "with u(r1) = 0 exists") from exc
-    slope_table = numerics.MonotoneTable(slope, prob.r1, n_cells=n_cells,
+    slope_table = numerics.MonotoneTable(slope, prob.r1,
                                          knots=prob.inner_knots)
 
     def w_at(rho):
@@ -167,7 +170,7 @@ def solve_explicit(prob: RadialProblem, n_cells: int = 4096,
     def wprime_at(rho):
         return -slope(rho)
 
-    grid = numerics.Grid.cosine(0.0, prob.r1, n_cells).nodes
+    grid = numerics.cosine_grid(0.0, prob.r1, _GRID_CELLS)
     w = np.asarray(w_at(grid), dtype=float)
     if not np.all(np.isfinite(w)):
         raise IntegrabilityFailure("solution values are not finite")
@@ -198,7 +201,7 @@ def solve_mass_form(prob: RadialProblem,
         out = ratio ** expo / np.maximum(prof, 1e-300)
         return out if np.ndim(sigma) else float(out[0])
 
-    grid = numerics.Grid.cosine(0.0, prob.r1, 128).nodes
+    grid = numerics.cosine_grid(0.0, prob.r1, 128)
     sigmas = np.asarray(space.cumulative(grid), dtype=float)
     pieces = []
     for lo, hi in zip(sigmas[:-1], sigmas[1:]):
@@ -229,7 +232,7 @@ def weak_residual(sol: RadialSolution, prob: RadialProblem) -> float:
     """
     p = prob.p
     n_test = 32
-    knots = numerics.Grid.cosine(0.0, prob.r1, n_test + 1).nodes
+    knots = numerics.cosine_grid(0.0, prob.r1, n_test + 1)
     density = prob.space.density
     worst = 0.0
     qtol = numerics.Tolerance(rel=1e-10, abs=1e-14)

@@ -260,7 +260,7 @@ def monotone_compose_check(u: SampledFunction, phi) -> float:
     return float(np.max(np.abs(lhs(probes) - rhs_vals)))
 
 
-def sample_on_cells(fn, cumulative, r1: float, n_cells: int = 2048) -> SampledFunction:
+def sample_on_cells(fn, cumulative, r1: float, n_cells: int) -> SampledFunction:
     """Grid-sampled cell data for a function on [0, r1].
 
     Cell measures come from cumulative differences of the ambient
@@ -269,7 +269,7 @@ def sample_on_cells(fn, cumulative, r1: float, n_cells: int = 2048) -> SampledFu
     """
     if n_cells < 1:
         raise InvalidParameter("need at least one cell")
-    edges = numerics.Grid.cosine(0.0, r1, n_cells).nodes
+    edges = numerics.cosine_grid(0.0, r1, n_cells)
     masses = np.diff(np.asarray(cumulative(edges), dtype=float))
     mids = 0.5 * (edges[:-1] + edges[1:])
     return SampledFunction(np.maximum(masses, 0.0),

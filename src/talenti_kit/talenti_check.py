@@ -34,6 +34,7 @@ from .model_space import (
     ModelSpace,
     WeightedInterval,
     check_curvature_dimension,
+    sine_power,
 )
 from .radial_poisson import (
     RadialProblem,
@@ -60,38 +61,23 @@ def model_for(K: float, N: float) -> ModelSpace:
 
 
 def make_shifted_cap(K: float, N: float, shift: float,
-                     v: float | None = None,
-                     n_cells: int = 4096) -> WeightedInterval:
+                     v: float | None = None) -> WeightedInterval:
     """Model density truncated at a positive offset, renormalized.
 
-    The density sin^{N-1}(scale*(t + shift)) on [0, L - shift] inherits
-    the curvature criterion from the model exactly; shift = 0 returns a
-    space indistinguishable from the model itself.  Passing the target
-    mass v checks up front that the domain radius stays inside the
-    support.  K and N must satisfy the model's own range.
+    The density sine_power(K, N, shift) on [0, L - shift] inherits the
+    curvature criterion from the model exactly; shift = 0 gives the
+    model's density bit for bit on [0, L].  Passing the target mass v
+    checks up front that the domain radius stays inside the support.
+    K and N must satisfy the model's own range.
     """
     check_curvature_dimension(K, N)
-    scale = math.sqrt(K / (N - 1.0))
-    L = math.pi / scale
+    raw, L = sine_power(K, N, shift)
     if not (0.0 <= shift < 0.5 * L and math.isfinite(shift)):
         raise InvalidShift(f"shift {shift} outside [0, {0.5 * L:.6g})")
     length = L - shift
-    expo = N - 1.0
-
-    def raw(t):
-        if isinstance(t, float):
-            if t >= length:
-                return 0.0
-            return max(math.sin(scale * (t + shift)), 0.0) ** expo
-        arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.maximum(np.sin(scale * (arr + shift)), 0.0) ** expo
-        out[arr >= length] = 0.0  # sin(pi) rounds to ~1e-16, pin the limit
-        return out if np.ndim(t) else float(out[0])
-
     c = numerics.integrate(raw, 0.0, length)
-    dens = lambda t: raw(t) / c
-    cap = WeightedInterval(dens, length, cd=(float(K), float(N)),
-                           n_cells=n_cells)
+    cap = WeightedInterval(lambda t: raw(t) / c, length,
+                           cd=(float(K), float(N)))
     if v is not None:
         if not (0.0 < v < 1.0):
             raise InvalidMass(f"domain mass v={v} must lie in (0, 1)")
@@ -185,19 +171,17 @@ class ChainTrace:
 def _rearranged_source(inst: ProblemInstance):
     """Decreasing rearrangement of the source in mass coordinates.
 
-    Returns (pointwise callable on [0, v], step or None, knot masses,
-    monotone flag).  Sources that are already nonincreasing compose
-    exactly with the inverse volume map; anything else goes through
-    cell sampling into a step function, which is first-order accurate
-    and flagged as such.
+    Returns (pointwise callable on [0, v], step or None, knot masses).
+    Sources that are already nonincreasing compose exactly with the
+    inverse volume map and return no step; anything else goes through
+    cell sampling into a step function, which is first-order accurate.
     """
     r1 = inst.r1
     probes = np.linspace(0.0, r1, 2049)
     fv = np.asarray(inst.f(probes), dtype=float)
     scale = float(np.max(np.abs(fv)))
     slack = 1e-12 * (scale if scale > 0.0 else 1.0)
-    monotone = bool(np.all(np.diff(fv) <= slack))
-    if monotone:
+    if np.all(np.diff(fv) <= slack):
         def fsharp_at(s):
             arr = np.atleast_1d(np.asarray(s, dtype=float))
             rho = inst.space.inverse_cumulative(np.clip(arr, 0.0, inst.v))
@@ -207,7 +191,7 @@ def _rearranged_source(inst: ProblemInstance):
         knot_masses = tuple(
             float(inst.space.cumulative(k)) for k in inst.f_knots
             if 0.0 < k < r1)
-        return fsharp_at, None, knot_masses, True
+        return fsharp_at, None, knot_masses
     sampled = sample_on_cells(inst.f, inst.space.cumulative, r1,
                               n_cells=4096)
     step = decreasing_rearrangement(sampled)
@@ -215,7 +199,7 @@ def _rearranged_source(inst: ProblemInstance):
     def fsharp_at(s):
         return step(np.clip(np.asarray(s, dtype=float), 0.0, inst.v))
 
-    return fsharp_at, step, (), False
+    return fsharp_at, step, ()
 
 
 def _source_cumulative(inst: ProblemInstance, u: RadialSolution, step):
@@ -245,8 +229,7 @@ def _radius_of_level(u: RadialSolution, levels: np.ndarray) -> np.ndarray:
 
 def run_comparison(inst: ProblemInstance,
                    r_list: list[float] | None = None,
-                   n_check: int = 2048,
-                   n_cells: int = 4096) -> ComparisonReport:
+                   n_check: int = 2048) -> ComparisonReport:
     """Solve both problems and fill a ComparisonReport.
 
     The pointwise check runs on a shared cosine grid; grid_bound is a
@@ -266,8 +249,8 @@ def run_comparison(inst: ProblemInstance,
             f"instance density violates the curvature criterion by {resid:.3e}")
 
     prob_u = inst.problem()
-    u = solve_explicit(prob_u, n_cells=n_cells)
-    fsharp_at, step, knot_masses, monotone = _rearranged_source(inst)
+    u = solve_explicit(prob_u)
+    fsharp_at, step, knot_masses = _rearranged_source(inst)
     F_at = _source_cumulative(inst, u, step)
 
     model = inst.model
@@ -279,11 +262,11 @@ def run_comparison(inst: ProblemInstance,
     # the model mass of f* is F(H(rho)) exactly, so the model solve can
     # skip re-integrating the composed source
     mass_w = lambda rho: F_at(model.cumulative(rho))
-    w = solve_explicit(prob_w, n_cells=n_cells, mass_at=mass_w)
+    w = solve_explicit(prob_w, mass_at=mass_w)
 
     # u* on the model grid: pull each node back to the instance radius
     # enclosing the same mass; the grid starts at exactly 0.0
-    grid = numerics.Grid.cosine(0.0, r_v, n_check).nodes
+    grid = numerics.cosine_grid(0.0, r_v, n_check)
     s_grid = np.asarray(model.cumulative(grid), dtype=float)
     rho = np.asarray(inst.space.inverse_cumulative(np.minimum(s_grid, inst.v)),
                      dtype=float)
@@ -315,7 +298,7 @@ def run_comparison(inst: ProblemInstance,
     lg = levy_gromov_radial(inst, u, levels)
 
     sharpness_gap = float("nan")
-    if inst.label == "model" and monotone:
+    if inst.label == "model" and step is None:
         sharpness_gap = float(np.max(np.abs(diff)))
 
     return ComparisonReport(
@@ -372,7 +355,7 @@ def chain_inequality_trace(inst: ProblemInstance,
     sup_u = float(u.w_at(0.0))
     if not (sup_u > 0.0):
         raise InvalidParameter("solution has no positive levels to trace")
-    _, step, _, _ = _rearranged_source(inst)
+    _, step, _ = _rearranged_source(inst)
     F_at = _source_cumulative(inst, u, step)
 
     top = 0.99 * sup_u

@@ -678,6 +678,14 @@ class TestExitCodes:
         ini.write_text("[bad]\nkind = eigen\nK = 2\nN = 3\np = x\n")
         assert main(["run", str(ini), "--out", str(tmp_path / "o")]) == 2
 
+    def test_shift_at_the_cap_bound_is_2(self, tmp_path, capsys):
+        # half the segment length, to the bit that make_shifted_cap uses
+        ini = tmp_path / "edge.ini"
+        ini.write_text("[edge]\nkind = eigen\nK = 3.9\nN = 1.5\np = 2\n"
+                       "v = 0.4\na = 0.5624353068521656\n")
+        assert main(["run", str(ini), "--out", str(tmp_path / "o")]) == 2
+        assert "a = 0.5624353068521656" in capsys.readouterr().err
+
     def test_missing_file_is_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.ini"),
                      "--out", str(tmp_path / "o")]) == 2

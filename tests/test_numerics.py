@@ -16,17 +16,15 @@ from hypothesis import strategies as st
 from talenti_kit.errors import (
     Divergence,
     InvalidParameter,
-    NoBracket,
     NonConvergence,
     OutOfDomain,
 )
 from talenti_kit import numerics
 from talenti_kit.numerics import (
     DEFAULT_TOL,
-    Grid,
     MonotoneTable,
     Tolerance,
-    find_root,
+    cosine_grid,
     generalized_inverse,
     integrate,
 )
@@ -92,27 +90,6 @@ class TestIntegrate:
         assert abs(whole - parts) <= 2.0 * DEFAULT_TOL.abs + 1e-11 * abs(whole)
 
 
-class TestFindRoot:
-    def test_cube_root_of_two(self):
-        root = find_root(lambda x: x ** 3 - 2.0, 0.0, 2.0)
-        assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12)
-
-    def test_no_bracket_raises(self):
-        with pytest.raises(NoBracket):
-            find_root(lambda x: x ** 2 + 1.0, -1.0, 1.0)
-
-    def test_endpoint_root_returned_directly(self):
-        assert find_root(lambda x: x - 1.0, 1.0, 2.0) == 1.0
-
-    @given(target=st.floats(min_value=-0.9, max_value=0.9))
-    @settings(max_examples=50, deadline=None)
-    def test_root_stays_bracketed(self, target):
-        g = lambda x: math.tanh(x) - target
-        root = find_root(g, -5.0, 5.0)
-        assert -5.0 <= root <= 5.0
-        assert abs(g(root)) < 1e-9
-
-
 class TestGeneralizedInverse:
     def setup_method(self):
         # 1 on [0,1), 0.3 on [1,2), 0 beyond
@@ -155,13 +132,12 @@ class TestGeneralizedInverse:
 
 class TestGrid:
     def test_cosine_grid_clusters_at_ends(self):
-        g = Grid.cosine(0.0, 1.0, 64)
-        assert len(g) == 65
-        assert g.spacing[0] < g.spacing[31]
-
-    def test_rejects_non_monotone(self):
-        with pytest.raises(InvalidParameter):
-            Grid(np.array([0.0, 1.0, 1.0]))
+        g = cosine_grid(0.0, 2.5, 64)
+        assert g.size == 65
+        assert g[0] == 0.0 and g[-1] == 2.5
+        spacing = np.diff(g)
+        assert spacing[0] < spacing[31]
+        assert spacing[-1] < spacing[32]
 
 
 class TestTolerance:
@@ -181,7 +157,7 @@ class TestTolerance:
 class TestMonotoneTable:
     def setup_method(self):
         self.table = MonotoneTable(lambda t: np.sin(t) ** 2 * (2.0 / math.pi),
-                                   math.pi, n_cells=1024)
+                                   math.pi)
 
     def test_cumulative_against_closed_form(self):
         for t in [0.3, math.pi / 4.0, 1.5, 2.9]:
@@ -215,7 +191,7 @@ class TestMonotoneTable:
             calls.append(1)
             return np.sin(np.asarray(t, dtype=float)) ** (N - 1.0)
 
-        table = MonotoneTable(density, math.pi, n_cells=1024)
+        table = MonotoneTable(density, math.pi)
         vs = np.concatenate([[0.0, table.total],
                              table.total * np.logspace(-30.0, -1.0, 30)])
         calls.clear()
@@ -237,7 +213,7 @@ class TestMonotoneTable:
             calls.append(1)
             return np.sin(np.asarray(t, dtype=float)) ** 2
 
-        table = MonotoneTable(density, math.pi, n_cells=1024)
+        table = MonotoneTable(density, math.pi)
         calls.clear()
         table.cumulative(np.linspace(0.01, math.pi - 0.01, 10_000))
         assert calls == []
@@ -255,7 +231,7 @@ class TestMonotoneTable:
         jump = 0.7
         table = MonotoneTable(
             lambda t: np.where(np.asarray(t, dtype=float) < jump, 1.0, 3.0),
-            2.0, n_cells=1024, knots=(jump,))
+            2.0, knots=(jump,))
         ts = np.linspace(0.0, 2.0, 10_000)
         exact = np.where(ts < jump, ts, jump + 3.0 * (ts - jump))
         assert table.total == pytest.approx(4.6, rel=1e-14)
@@ -270,7 +246,7 @@ class TestMonotoneTable:
         # masses down to 1e-30 land in the first cell; with a density
         # positive at the right end, masses within 1e-15 of the total
         # land in the last one
-        table = MonotoneTable(density, math.pi, n_cells=1024)
+        table = MonotoneTable(density, math.pi)
         vs = table.total * np.concatenate([
             np.logspace(-30.0, -1.0, 59),
             np.linspace(0.05, 0.95, 1001),

@@ -20,7 +20,7 @@ from talenti_kit.errors import (
     NegativeData,
 )
 from talenti_kit.model_space import ModelSpace
-from talenti_kit.numerics import Grid
+from talenti_kit.numerics import cosine_grid
 from talenti_kit.radial_poisson import (
     RadialProblem,
     WeightedInterval,
@@ -103,7 +103,7 @@ class TestMassFormAgreement:
         # rearrangement of a nonincreasing source: f(W^{-1}(s)) sampled at
         # cell midpoints in mass; clustered edges resolve the cube-root
         # cusp the inverse volume map puts at s = 0
-        edges = Grid.cosine(0.0, prob.mass, 4096).nodes
+        edges = cosine_grid(0.0, prob.mass, 4096)
         mids = model23.inverse_cumulative(0.5 * (edges[:-1] + edges[1:]))
         fs = StepFunction(edges[1:],
                           np.concatenate([f(mids), [0.0]]), side="left")
@@ -184,10 +184,8 @@ class TestStructure:
         # f1 <= f2 pointwise forces w1 <= w2 pointwise
         f1 = lambda t: c * (1.0 + 0.5 * np.sin(np.asarray(t)))
         f2 = lambda t: c * (1.6 + 0.5 * np.sin(np.asarray(t)))
-        s1 = solve_explicit(RadialProblem(model23, 2.5, f1, math.pi / 2.0),
-                            n_cells=512)
-        s2 = solve_explicit(RadialProblem(model23, 2.5, f2, math.pi / 2.0),
-                            n_cells=512)
+        s1 = solve_explicit(RadialProblem(model23, 2.5, f1, math.pi / 2.0))
+        s2 = solve_explicit(RadialProblem(model23, 2.5, f2, math.pi / 2.0))
         assert s1.w_at(rho) <= s2.w_at(rho) + 1e-12
 
     def test_solution_nonincreasing(self, half_ball_p2):
