@@ -54,7 +54,8 @@ from .errors import (
     NonConvergence,
 )
 from .model_space import WeightedInterval
-from .radial_poisson import RadialProblem, RadialSolution, power_signed
+from .radial_poisson import (RadialProblem, RadialSolution, check_exponent,
+                             power_signed)
 from .talenti_check import model_for
 
 _ATOL = (1e-14, 1e-18)
@@ -101,16 +102,9 @@ class EigenPair:
 
     def rayleigh(self) -> float:
         """Rayleigh quotient of the stored profile, for consistency checks."""
-        dens = self.space.density
-        zp, zf, p = self.sol.wprime_at, self.sol.w_at, self.p
-        num = numerics.integrate(
-            lambda t: np.abs(zp(t)) ** p * np.asarray(dens(t), dtype=float),
-            0.0, self.sol.r1, _NORM_TOL)
-        den = numerics.integrate(
-            lambda t: np.asarray(zf(t), dtype=float) ** p *
-            np.asarray(dens(t), dtype=float),
-            0.0, self.sol.r1, _NORM_TOL)
-        return num / den
+        p = self.p
+        return (_integral(self, lambda t: np.abs(self.zprime_at(t)) ** p)
+                / _integral(self, lambda t: self.z_at(t) ** p))
 
 
 class FaberKrahnResult(NamedTuple):
@@ -132,7 +126,6 @@ class HolderReport:
     ratios_instance: dict[float, float]
     ratios_model: dict[float, float]
     delta: float
-    r: float
 
 
 def _rhs_factory(space: WeightedInterval, p: float, lam: float):
@@ -271,8 +264,9 @@ def first_eigenpair(space: WeightedInterval, v: float, p: float,
 
 def _pair_from(space: WeightedInterval, p: float, lam: float, v: float,
                eps: float, r_v: float, interp) -> EigenPair:
-    """EigenPair of the shooting solution interp (dense on [eps, r_v]),
-    with the series start below eps and z = 0 from r_v on."""
+    """EigenPair of the shooting solution interp (dense on [eps, r_v]);
+    its z_at, zprime_at and mass_at read one state (z, m) on t clipped to
+    [0, r_v], and z_at pins z = 0 from r_v on."""
     end = float(interp(r_v)[0])
     if abs(end) > 1e-6:
         raise NonConvergence(
@@ -282,59 +276,48 @@ def _pair_from(space: WeightedInterval, p: float, lam: float, v: float,
     coef = (p - 1.0) / p
     cum, dens = space.cumulative, space.density
 
-    def _ratio(arr):
-        W = np.asarray(cum(arr), dtype=float)
-        w = np.asarray(dens(arr), dtype=float)
-        return np.where(arr > 0.0, lam * W / np.where(w > 0.0, w, 1.0), 0.0)
+    def slope(c, m):
+        # z' = sign(m) |m/w|^{1/(p-1)}; at the model's origin w = 0 and
+        # m = -0, so z'(0) = -0
+        w = np.asarray(dens(c), dtype=float)
+        return power_signed(m / np.where(w > 0.0, w, 1.0), e)
 
-    def z_at(t):
-        arr = np.atleast_1d(np.asarray(t, dtype=float))
-        val = np.zeros_like(arr)
-        small = arr <= eps
+    def state(t):
+        # (clipped t, z, m): up to eps the series start, m = -lam*W and
+        # z = 1 + (p-1)/p * t * z', and interp above
+        c = np.clip(np.atleast_1d(np.asarray(t, dtype=float)), 0.0, r_v)
+        z, m = np.empty_like(c), np.empty_like(c)
+        small = c <= eps
         if np.any(small):
-            a = arr[small]
-            val[small] = 1.0 - coef * a * _ratio(a) ** e
-        mid = ~small & (arr < r_v)
-        if np.any(mid):
-            val[mid] = interp(arr[mid])[0]
-        val[arr >= r_v] = 0.0
-        np.maximum(val, 0.0, out=val)
-        return val if np.ndim(t) else float(val[0])
-
-    def zprime_at(t):
-        arr = np.atleast_1d(np.asarray(t, dtype=float))
-        clipped = np.minimum(arr, r_v)
-        val = np.empty_like(clipped)
-        small = clipped <= eps
-        if np.any(small):
-            val[small] = -_ratio(clipped[small]) ** e
+            a = c[small]
+            m[small] = -lam * np.asarray(cum(a), dtype=float)
+            z[small] = 1.0 + coef * a * slope(a, m[small])
         rest = ~small
         if np.any(rest):
-            m = interp(clipped[rest])[1]
-            w = np.asarray(dens(clipped[rest]), dtype=float)
-            val[rest] = power_signed(m / w, e)
+            z[rest], m[rest] = interp(c[rest])
+        return c, z, m
+
+    def z_at(t):
+        c, z, _ = state(t)
+        z[c >= r_v] = 0.0
+        np.maximum(z, 0.0, out=z)
+        return z if np.ndim(t) else float(z[0])
+
+    def zprime_at(t):
+        c, _, m = state(t)
+        val = slope(c, m)
         return val if np.ndim(t) else float(val[0])
 
     def mass_at(rho):
-        arr = np.atleast_1d(np.asarray(rho, dtype=float))
-        clipped = np.clip(arr, 0.0, r_v)
-        val = np.empty_like(clipped)
-        small = clipped <= eps
-        if np.any(small):
-            val[small] = lam * np.asarray(cum(clipped[small]), dtype=float)
-        rest = ~small
-        if np.any(rest):
-            val[rest] = -interp(clipped[rest])[1]
-        return val if np.ndim(rho) else float(val[0])
+        _, _, m = state(rho)
+        return -m if np.ndim(rho) else -float(m[0])
 
     grid = numerics.cosine_grid(0.0, r_v, 2048)
-    w = np.asarray(z_at(grid), dtype=float)
     raw = interp(grid[(grid > eps) & (grid < r_v)])[0]
     if raw.size and float(np.min(raw)) < -1e-6:
         raise NonConvergence("eigenfunction went negative inside the domain")
-    sol = RadialSolution(grid=grid, w=w,
-                         wprime=np.asarray(zprime_at(grid), dtype=float),
-                         p=p, r1=r_v, w_at=z_at, wprime_at=zprime_at,
+    sol = RadialSolution(grid=grid, w=z_at(grid), wprime=zprime_at(grid),
+                         r1=r_v, w_at=z_at, wprime_at=zprime_at,
                          mass_at=mass_at)
     return EigenPair(lam=lam, sol=sol, p=p, space=space, v=float(v),
                      z_end=end)
@@ -400,30 +383,39 @@ def faber_krahn_check(space: WeightedInterval, v: float,
     return FaberKrahnResult(instance=zi, model=zm, margin=zi.lam - zm.lam)
 
 
+def _integral(pair: EigenPair, g) -> float:
+    """int_0^{r_alpha} g dm over the pair's own weighted interval."""
+    dens = pair.space.density
+    return numerics.integrate(
+        lambda x: g(x) * np.asarray(dens(x), dtype=float),
+        0.0, pair.sol.r1, _NORM_TOL)
+
+
 def lp_norm(pair: EigenPair, t: float) -> float:
     """(int z^t dm)^{1/t} over the pair's own weighted interval."""
-    if not (t > 0.0 and math.isfinite(t)):
-        raise InvalidParameter(f"norm exponent t={t} must be positive")
-    dens, zf = pair.space.density, pair.sol.w_at
-
-    def integrand(x):
-        return np.asarray(zf(x), dtype=float) ** t * \
-            np.asarray(dens(x), dtype=float)
-
-    val = numerics.integrate(integrand, 0.0, pair.sol.r1, _NORM_TOL)
-    return val ** (1.0 / t)
+    check_exponent("norm exponent t", t)
+    return _integral(pair, lambda x: pair.z_at(x) ** t) ** (1.0 / t)
 
 
-def _require_unit_mass(pair: EigenPair, who: str) -> None:
-    if abs(pair.space.total - 1.0) > 1e-8:
+def _check_pair(u: EigenPair, z: EigenPair, p: float) -> None:
+    """Instance u and model z solve the p-Laplacian on unit-mass spaces,
+    the setting every norm comparison below assumes."""
+    if not (p > 1.0 and math.isfinite(p)):
+        raise InvalidParameter(f"exponent p={p} must exceed 1")
+    if abs(u.p - p) > 1e-12 or abs(z.p - p) > 1e-12:
         raise InvalidParameter(
-            f"{who} must live on a unit-mass space (total = "
-            f"{pair.space.total:.6g}); norm comparisons assume it")
+            f"eigenpairs solve p={u.p} and p={z.p}, not p={p}")
+    for pair, who in ((u, "instance"), (z, "model")):
+        if abs(pair.space.total - 1.0) > 1e-8:
+            raise InvalidParameter(
+                f"{who} eigenpair must live on a unit-mass space (total = "
+                f"{pair.space.total:.6g}); norm comparisons assume it")
 
 
-def _matched_scale(u: EigenPair, z: EigenPair, r: float) -> float:
-    """Factor c with ||c*z||_r = ||u||_r, the shared normalization."""
-    return lp_norm(u, r) / lp_norm(z, r)
+def _norms(u: EigenPair, z: EigenPair, ts) -> tuple[dict, dict]:
+    """lp_norm of u and of z, once per distinct exponent of ts."""
+    ts = dict.fromkeys(ts)
+    return {t: lp_norm(u, t) for t in ts}, {t: lp_norm(z, t) for t in ts}
 
 
 def chiti_compare(u: EigenPair, z: EigenPair,
@@ -440,14 +432,10 @@ def chiti_compare(u: EigenPair, z: EigenPair,
     degenerate-equal and (r_alpha, 0) is returned, while a genuinely
     one-sided difference raises NoCrossing.
     """
-    if not (r > 0.0 and math.isfinite(r)):
-        raise InvalidParameter(f"norm exponent r={r} must be positive")
-    if abs(u.p - z.p) > 1e-12:
-        raise InvalidParameter("eigenpairs solve different p-Laplacians")
-    _require_unit_mass(u, "instance eigenpair")
-    _require_unit_mass(z, "model eigenpair")
+    check_exponent("norm exponent r", r)
+    _check_pair(u, z, u.p)
 
-    c = _matched_scale(u, z, r)
+    c = lp_norm(u, r) / lp_norm(z, r)
     r_alpha = z.sol.r1
     x = np.linspace(0.0, r_alpha, 4097)
 
@@ -488,50 +476,41 @@ def reverse_holder(u: EigenPair, z: EigenPair, r: float,
     cancels out of them; it enters only the deficit delta, which is
     evaluated when r = p-1 over the exponents of t_grid above p-1.
     """
-    if not (r > 0.0 and math.isfinite(r)):
-        raise InvalidParameter(f"base exponent r={r} must be positive")
-    if abs(u.p - z.p) > 1e-12:
-        raise InvalidParameter("eigenpairs solve different p-Laplacians")
-    _require_unit_mass(u, "instance eigenpair")
-    _require_unit_mass(z, "model eigenpair")
+    check_exponent("base exponent r", r)
+    _check_pair(u, z, u.p)
     ts = tuple(float(t) for t in t_grid)
     if not ts:
         raise InvalidParameter("t_grid must be nonempty")
     if any(t < r - 1e-12 for t in ts):
         raise InvalidParameter("every exponent in t_grid must be >= r")
 
-    nu_r, nz_r = lp_norm(u, r), lp_norm(z, r)
-    ratios_u: dict[float, float] = {}
-    ratios_z: dict[float, float] = {}
-    for t in ts:
-        ratios_u[t] = lp_norm(u, t) / nu_r
-        ratios_z[t] = lp_norm(z, t) / nz_r
-    vals = list(ratios_u.values()) + list(ratios_z.values())
-    if not all(math.isfinite(x) and x > 0.0 for x in vals):
+    p = u.p
+    matched = abs(r - (p - 1.0)) <= 1e-12
+    nu, nz = _norms(u, z, (r, *ts, *((p - 1.0,) if matched else ())))
+    ratios_u = {t: nu[t] / nu[r] for t in ts}
+    ratios_z = {t: nz[t] / nz[r] for t in ts}
+    if not all(math.isfinite(x) and x > 0.0
+               for x in (*ratios_u.values(), *ratios_z.values())):
         raise CheckFailure("norm ratios must be finite and positive")
 
-    p = u.p
-    if abs(r - (p - 1.0)) <= 1e-12:
-        delta = max(_deficits(u, z, p, [t for t in ts if t > p - 1.0 + 1e-12]),
+    if matched:
+        delta = max(_deficits(p, nu, nz,
+                              [t for t in ts if t > p - 1.0 + 1e-12]),
                     default=0.0)
     else:
         delta = math.nan
     return HolderReport(t_grid=ts, ratios_instance=ratios_u,
-                        ratios_model=ratios_z, delta=delta, r=r)
+                        ratios_model=ratios_z, delta=delta)
 
 
-def _deficits(u: EigenPair, z: EigenPair, p: float, ts) -> list[float]:
-    c = _matched_scale(u, z, p - 1.0)
-    out = []
-    for t in ts:
-        a = c * lp_norm(z, t)
-        b = lp_norm(u, t)
-        if p >= 2.0:
-            d = a ** (p - 1.0) - b ** (p - 1.0)
-        else:
-            d = max(a - b, 0.0) ** (p - 1.0)
-        out.append(max(0.0, d))
-    return out
+def _deficits(p: float, nu: dict, nz: dict, ts) -> list[float]:
+    """Clamped deficit per exponent of ts from the instance norms nu and
+    the model norms nz, under the matched (p-1)-norm normalization."""
+    e = p - 1.0
+    c = nu[e] / nz[e]
+    if p >= 2.0:
+        return [max(0.0, (c * nz[t]) ** e - nu[t] ** e) for t in ts]
+    return [max(0.0, max(c * nz[t] - nu[t], 0.0) ** e) for t in ts]
 
 
 def stability_deficits(u: EigenPair, z: EigenPair, p: float,
@@ -545,18 +524,13 @@ def stability_deficits(u: EigenPair, z: EigenPair, p: float,
     the worst term grows with the geometric gap in shifted-family sweeps
     and is reported as a diagnostic, not a certified bound.
     """
-    if not (p > 1.0 and math.isfinite(p)):
-        raise InvalidParameter(f"exponent p={p} must exceed 1")
-    if abs(u.p - p) > 1e-12 or abs(z.p - p) > 1e-12:
-        raise InvalidParameter("eigenpairs were solved for a different p")
-    _require_unit_mass(u, "instance eigenpair")
-    _require_unit_mass(z, "model eigenpair")
+    _check_pair(u, z, p)
     ts = tuple(float(t) for t in Q)
     if not ts:
         raise InvalidParameter("Q must be nonempty")
     if any(t <= p - 1.0 + 1e-12 for t in ts):
         raise InvalidParameter("every exponent in Q must lie strictly above p-1")
-    return tuple(_deficits(u, z, p, ts))
+    return tuple(_deficits(p, *_norms(u, z, (p - 1.0, *ts)), ts))
 
 
 def rayleigh_fem(space: WeightedInterval, v: float, p: float) -> float:

@@ -41,9 +41,16 @@ _GRID_CELLS = 4096
 
 
 def power_signed(x, e: float):
-    """sign(x) * |x|**e, the odd power used by the p-Laplacian flux."""
+    """|x|**e with the sign of x, the odd power used by the p-Laplacian
+    flux; the sign of a zero is kept, so -0.0 maps to -0.0."""
     arr = np.asarray(x, dtype=float)
-    return np.sign(arr) * np.abs(arr) ** e
+    return np.copysign(np.abs(arr) ** e, arr)
+
+
+def check_exponent(name: str, t: float) -> None:
+    """Raise InvalidParameter unless the exponent t is positive and finite."""
+    if not (t > 0.0 and math.isfinite(t)):
+        raise InvalidParameter(f"{name}={t} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -96,7 +103,6 @@ class RadialSolution:
     grid: np.ndarray
     w: np.ndarray
     wprime: np.ndarray
-    p: float
     r1: float
     w_at: Callable
     wprime_at: Callable
@@ -175,8 +181,17 @@ def solve_explicit(prob: RadialProblem,
     if not np.all(np.isfinite(w)):
         raise IntegrabilityFailure("solution values are not finite")
     return RadialSolution(grid=grid, w=w, wprime=-np.asarray(slope(grid)),
-                          p=prob.p, r1=prob.r1, w_at=w_at,
+                          r1=prob.r1, w_at=w_at,
                           wprime_at=wprime_at, mass_at=mass_at)
+
+
+def _mass_ratio(space: WeightedInterval, fsharp: StepFunction, sigma):
+    """(F/I, I) at the masses sigma, with F the cumulative of fsharp and
+    I the space's profile floored at 1e-300; the ratio is 0 where F <= 0."""
+    arr = np.atleast_1d(np.asarray(sigma, dtype=float))
+    prof = np.maximum(np.asarray(space.profile(arr), dtype=float), 1e-300)
+    F = np.asarray(fsharp.integral(arr), dtype=float)
+    return np.where(F <= 0.0, 0.0, F / prof), prof
 
 
 def solve_mass_form(prob: RadialProblem,
@@ -194,11 +209,8 @@ def solve_mass_form(prob: RadialProblem,
     space = prob.space
 
     def integrand(sigma):
-        arr = np.atleast_1d(np.asarray(sigma, dtype=float))
-        prof = np.asarray(space.profile(arr), dtype=float)
-        F = np.asarray(fsharp.integral(arr), dtype=float)
-        ratio = np.where(F <= 0.0, 0.0, F / np.maximum(prof, 1e-300))
-        out = ratio ** expo / np.maximum(prof, 1e-300)
+        ratio, prof = _mass_ratio(space, fsharp, sigma)
+        out = ratio ** expo / prof
         return out if np.ndim(sigma) else float(out[0])
 
     grid = numerics.cosine_grid(0.0, prob.r1, 128)
@@ -211,14 +223,11 @@ def solve_mass_form(prob: RadialProblem,
             pieces.append(0.0)
     acc = np.concatenate([[0.0], np.cumsum(pieces)])
     w = acc[-1] - acc
-    prof_g = np.asarray(space.profile(sigmas), dtype=float)
-    F_g = np.asarray(fsharp.integral(sigmas), dtype=float)
-    wprime = -np.where(F_g <= 0.0, 0.0,
-                       F_g / np.maximum(prof_g, 1e-300)) ** expo
+    wprime = -_mass_ratio(space, fsharp, sigmas)[0] ** expo
     w_interp = PchipInterpolator(grid, w, extrapolate=False)
     wp_interp = PchipInterpolator(grid, wprime, extrapolate=False)
     mass_at = lambda rho: fsharp.integral(space.cumulative(rho))
-    return RadialSolution(grid=grid, w=w, wprime=wprime, p=prob.p, r1=prob.r1,
+    return RadialSolution(grid=grid, w=w, wprime=wprime, r1=prob.r1,
                           w_at=w_interp, wprime_at=wp_interp, mass_at=mass_at)
 
 
@@ -261,8 +270,7 @@ def weak_residual(sol: RadialSolution, prob: RadialProblem) -> float:
 
 def gradient_norm(sol: RadialSolution, prob: RadialProblem, r: float) -> float:
     """Physical-coordinate integral of |w'|^r against the weighted measure."""
-    if not (r > 0.0):
-        raise InvalidParameter("gradient norm exponent must be positive")
+    check_exponent("gradient norm exponent r", r)
     integrand = lambda t: np.abs(sol.wprime_at(t)) ** r * \
         np.asarray(prob.space.density(t), dtype=float)
     return numerics.integrate(integrand, 0.0, prob.r1,
@@ -278,16 +286,12 @@ def gradient_norm_mass(prob: RadialProblem, fsharp: StepFunction,
     is the standing identity check for all solved problems with
     nonincreasing data.
     """
-    if not (r > 0.0):
-        raise InvalidParameter("gradient norm exponent must be positive")
+    check_exponent("gradient norm exponent r", r)
     expo = r / (prob.p - 1.0)
     space = prob.space
 
     def integrand(sigma):
-        arr = np.atleast_1d(np.asarray(sigma, dtype=float))
-        prof = np.asarray(space.profile(arr), dtype=float)
-        F = np.asarray(fsharp.integral(arr), dtype=float)
-        out = np.where(F <= 0.0, 0.0, F / np.maximum(prof, 1e-300)) ** expo
+        out = _mass_ratio(space, fsharp, sigma)[0] ** expo
         return out if np.ndim(sigma) else float(out[0])
 
     return numerics.integrate(integrand, 0.0, prob.mass,

@@ -46,7 +46,7 @@ from scipy.interpolate import PchipInterpolator
 from . import numerics
 from .errors import InvalidParameter, NonConvergence
 from .model_space import ModelSpace, check_curvature_dimension
-from .radial_poisson import RadialProblem, RadialSolution
+from .radial_poisson import RadialProblem, RadialSolution, check_exponent
 from .talenti_check import model_for
 
 # relative guard around the finiteness boundary: a regime gap below this
@@ -215,8 +215,7 @@ def c2_constant(K: float, N: float, v: float, p: float, s: float,
     a noisy number.
     """
     inv_s = _validate(K, N, v, p, s)
-    if not (t > 0.0 and math.isfinite(t)):
-        raise InvalidParameter(f"norm exponent t={t} must be positive and finite")
+    check_exponent("norm exponent t", t)
     if t < 1.0:
         return Divergent
     theta = -_regime_gap(N, p, inv_s) / (p - 1.0)
@@ -271,9 +270,18 @@ class EmbeddingCheck(NamedTuple):
     constant: float | DivergentType  # c1 without t, c2 with t
 
 
-def _segments(r1: float, knots: tuple[float, ...]) -> list[tuple[float, float]]:
-    cuts = [0.0, *sorted(k for k in knots if 0.0 < k < r1), r1]
-    return [(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo]
+def _norm(prob: RadialProblem, g: Callable, s: float) -> float:
+    """(int_0^r1 |g|^s dm)^{1/s}, one quadrature per piece between the
+    source's knots."""
+    dens = prob.space.density
+    cuts = [0.0, *sorted(prob.inner_knots), prob.r1]
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if hi > lo:
+            total += numerics.integrate(
+                lambda rho: np.abs(np.asarray(g(rho), dtype=float)) ** s
+                * np.asarray(dens(rho), dtype=float), lo, hi)
+    return total ** (1.0 / s)
 
 
 def _source_norm(prob: RadialProblem, s: float) -> float:
@@ -283,24 +291,7 @@ def _source_norm(prob: RadialProblem, s: float) -> float:
             step = 1e-9 * prob.r1
             ts = np.append(ts, [k - step, k, k + step])
         return float(np.max(np.abs(np.asarray(prob.f(np.sort(ts)), dtype=float))))
-    dens = prob.space.density
-    total = 0.0
-    for lo, hi in _segments(prob.r1, prob.inner_knots):
-        total += numerics.integrate(
-            lambda rho: np.abs(np.asarray(prob.f(rho), dtype=float)) ** s
-            * np.asarray(dens(rho), dtype=float), lo, hi)
-    return total ** (1.0 / s)
-
-
-def _solution_norm(prob: RadialProblem, sol: RadialSolution,
-                   t: float) -> float:
-    dens = prob.space.density
-    total = 0.0
-    for lo, hi in _segments(prob.r1, prob.inner_knots):
-        total += numerics.integrate(
-            lambda rho: np.abs(np.asarray(sol.w_at(rho), dtype=float)) ** t
-            * np.asarray(dens(rho), dtype=float), lo, hi)
-    return total ** (1.0 / t)
+    return _norm(prob, prob.f, s)
 
 
 def check_embedding(prob: RadialProblem, sol: RadialSolution, s: float,
@@ -318,8 +309,8 @@ def check_embedding(prob: RadialProblem, sol: RadialSolution, s: float,
     if abs(space.total - 1.0) > 1e-8:
         raise InvalidParameter(
             "embedding constants assume unit total mass; renormalize the space")
-    if t is not None and not (t > 0.0 and math.isfinite(t)):
-        raise InvalidParameter(f"norm exponent t={t} must be positive and finite")
+    if t is not None:
+        check_exponent("norm exponent t", t)
     K, N = space.cd
     v = float(space.cumulative(prob.r1)) / space.total
     if not (0.0 < v < 1.0):
@@ -329,7 +320,7 @@ def check_embedding(prob: RadialProblem, sol: RadialSolution, s: float,
         lhs = max(float(np.max(np.abs(sol.w))), abs(float(sol.w_at(0.0))))
         c = c1_constant(K, N, v, prob.p, s)
     else:
-        lhs = _solution_norm(prob, sol, t)
+        lhs = _norm(prob, sol.w_at, t)
         c = c2_constant(K, N, v, prob.p, s, t)
     norm = _source_norm(prob, s)
     if norm == 0.0:

@@ -599,10 +599,24 @@ class TestSharedSolves:
         # the model pair at v once, then one instance pair per shift;
         # every shift's alpha_from_lambda reuses the pair at v
         calls = []
-        self._count(monkeypatch, eigen, ["first_eigenpair"], calls)
+        self._count(monkeypatch, eigen, ["first_eigenpair", "lp_norm"],
+                    calls)
         out = run_text(tmp_path, TestCallOrder.SWEEP, monkeypatch)
         assert read_record(out, "sweep")["status"] == "pass"
-        assert len(calls) == 4 + 1
+        names = [name for name, _ in calls]
+        assert names.count("first_eigenpair") == 4 + 1
+        # per shift: both pairs at p - 1 and at each of the two Q
+        assert names.count("lp_norm") == 4 * 2 * 3
+
+    def test_holder_norms_each_pair_once_per_exponent(self, tmp_path,
+                                                      monkeypatch):
+        # chiti_compare's two norms at r = p - 1, then reverse_holder's
+        # at the 3 exponents of the default t_grid; its deficit reuses them
+        calls = []
+        self._count(monkeypatch, eigen, ["lp_norm"], calls)
+        out = run_text(tmp_path, TestCallOrder.HOLDER, monkeypatch)
+        assert read_record(out, "hold")["status"] == "pass"
+        assert len(calls) == 2 + 2 * 3
 
     def test_sobolev_computes_each_constant_once(self, tmp_path, monkeypatch):
         # the README example: the row at s reuses the check's c2

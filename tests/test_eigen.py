@@ -296,7 +296,7 @@ class TestChiti:
             return arr + amp * np.exp(-(((tt - mid) / wid) ** 2))
 
         sol = RadialSolution(grid=base.grid, w=np.asarray(w_at(base.grid)),
-                             wprime=base.wprime, p=2.0, r1=base.r1,
+                             wprime=base.wprime, r1=base.r1,
                              w_at=w_at, wprime_at=base.wprime_at,
                              mass_at=base.mass_at)
         bumped = EigenPair(z.lam, sol, 2.0, z.space, z.v, z.z_end)
@@ -307,6 +307,8 @@ class TestChiti:
         u, _, z = chiti_pipeline
         with pytest.raises(InvalidParameter):
             chiti_compare(u, z, 0.0)
+        with pytest.raises(InvalidParameter, match="positive and finite"):
+            chiti_compare(u, z, math.inf)
         mismatched = model_eigenpair(2.0, 3.0, 3.0, 0.4)
         with pytest.raises(InvalidParameter):
             chiti_compare(u, mismatched, 1.0)
@@ -344,6 +346,31 @@ class TestReverseHolder:
         u, _, z = chiti_pipeline
         with pytest.raises(InvalidParameter):
             reverse_holder(u, z, 2.0, [1.0])
+
+    def test_infinite_exponents_rejected(self, chiti_pipeline):
+        u, _, z = chiti_pipeline
+        with pytest.raises(InvalidParameter, match="positive and finite"):
+            reverse_holder(u, z, math.inf, [math.inf])
+        with pytest.raises(InvalidParameter, match="positive and finite"):
+            lp_norm(u, math.inf)
+
+    def test_one_norm_per_pair_and_exponent(self, chiti_pipeline,
+                                            monkeypatch):
+        # the base exponent r = p - 1 is also the deficit's normalization:
+        # each of the 3 exponents is integrated once per pair
+        u, _, z = chiti_pipeline
+        calls = []
+        real = eigen.lp_norm
+
+        def counting(pair, t):
+            calls.append((id(pair), t))
+            return real(pair, t)
+
+        monkeypatch.setattr(eigen, "lp_norm", counting)
+        r = u.p - 1.0
+        rep = reverse_holder(u, z, r, (r, 2.0 * r, 5.0 * r))
+        assert len(calls) == len(set(calls)) == 6
+        assert rep.delta >= 0.0
 
 
 class TestStabilityDeficit:
@@ -416,6 +443,47 @@ class TestMassCoordinateDerivative:
         dn = np.asarray(pair.z_at(cap.inverse_cumulative(s - ds)))
         lhs = -(up - dn) / (2.0 * ds)
         assert np.max(lhs - rhs) <= 1e-6
+
+
+class TestProfileState:
+    """z_at, zprime_at and mass_at (the solution's w_at, wprime_at and
+    mass_at) read one (z, m) state."""
+
+    @staticmethod
+    def _points(pair):
+        r_v = pair.r_alpha
+        eps = 1e-6 * r_v
+        return [0.0, 0.5 * eps, eps, math.nextafter(eps, math.inf),
+                0.5 * r_v, r_v, 1.25 * r_v]
+
+    @staticmethod
+    def _bits(x):
+        return np.asarray(x, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("name", ["w_at", "wprime_at", "mass_at"])
+    def test_scalar_and_array_paths_agree(self, cap_pair_p2, name):
+        pts = self._points(cap_pair_p2)
+        fn = getattr(cap_pair_p2.sol, name)
+        arr = fn(np.array(pts))
+        for i, t in enumerate(pts):
+            one = fn(t)
+            assert isinstance(one, float)
+            assert self._bits(one) == self._bits(arr[i])
+
+    def test_pinned_from_r_v_on(self, cap_pair_p2):
+        pair = cap_pair_p2
+        r_v = pair.r_alpha
+        past = np.array([r_v, math.nextafter(r_v, math.inf), 1.25 * r_v])
+        assert self._bits(pair.z_at(past)) == self._bits(np.zeros(3))
+        assert self._bits(pair.zprime_at(past)) == self._bits(
+            np.full(3, pair.zprime_at(r_v)))
+        assert self._bits(pair.sol.mass_at(past)) == self._bits(
+            np.full(3, pair.sol.mass_at(r_v)))
+        assert pair.zprime_at(r_v) < 0.0 < pair.sol.mass_at(r_v)
+
+    def test_origin_slope_is_negative_zero(self, model_pair_p2):
+        zp = model_pair_p2.zprime_at(0.0)
+        assert zp == 0.0 and math.copysign(1.0, zp) == -1.0
 
 
 class TestPropertySweep:

@@ -26,6 +26,7 @@ from talenti_kit.radial_poisson import (
     WeightedInterval,
     gradient_norm,
     gradient_norm_mass,
+    power_signed,
     solve_explicit,
     solve_mass_form,
     weak_residual,
@@ -148,7 +149,7 @@ class TestWeakForm:
         from talenti_kit.radial_poisson import RadialSolution
         bad = RadialSolution(
             grid=sol.grid, w=sol.w + bump(sol.grid),
-            wprime=sol.wprime + bump_prime(sol.grid), p=sol.p, r1=sol.r1,
+            wprime=sol.wprime + bump_prime(sol.grid), r1=sol.r1,
             w_at=lambda t: sol.w_at(t) + bump(t),
             wprime_at=lambda t: sol.wprime_at(t) + bump_prime(t),
             mass_at=sol.mass_at)
@@ -166,6 +167,15 @@ class TestGradientNorms:
             mass = gradient_norm_mass(prob, fsharp, r)
             assert abs(phys - mass) <= 1e-6 * abs(phys)
 
+    @pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan, 0.0])
+    def test_exponent_must_be_positive_and_finite(self, half_ball_p2, r):
+        prob, sol = half_ball_p2
+        fsharp = StepFunction([prob.mass], [1.0, 0.0], side="left")
+        with pytest.raises(InvalidParameter, match="positive and finite"):
+            gradient_norm(sol, prob, r)
+        with pytest.raises(InvalidParameter, match="positive and finite"):
+            gradient_norm_mass(prob, fsharp, r)
+
     def test_mass_identity_p3(self, model23):
         prob = RadialProblem(model23, 3.0, ONES, math.pi / 2.0)
         sol = solve_explicit(prob)
@@ -174,6 +184,18 @@ class TestGradientNorms:
             phys = gradient_norm(sol, prob, r)
             mass = gradient_norm_mass(prob, fsharp, r)
             assert abs(phys - mass) <= 1e-6 * abs(phys)
+
+
+class TestPowerSigned:
+    def test_keeps_the_sign_of_zero(self):
+        # eigen CSVs write z'(0) as -0, which passes through power_signed
+        out = power_signed(np.array([-0.0, 0.0]), 0.5)
+        assert out.tolist() == [0.0, 0.0]
+        assert np.signbit(out).tolist() == [True, False]
+
+    def test_odd_power(self):
+        assert power_signed(np.array([-4.0, 9.0, -8.0]), 0.5).tolist() == [
+            -2.0, 3.0, -math.sqrt(8.0)]
 
 
 class TestStructure:
