@@ -598,8 +598,8 @@ def _run_holder(sc: Scenario, scale: float):
     fk = faber_krahn_check(_space_for(params), v, p)
     u = fk.instance
     alpha, z = alpha_from_lambda(fk.model, u.lam)
-    crossing, viol = chiti_compare(u, z, r)
     rep = reverse_holder(u, z, r, params["t_grid"])
+    crossing, viol = chiti_compare(u, z, r, scale=rep.scale)
     checks = [
         _check("chiti-ordering", 1e-6 * scale - viol),
         _gate("chiti-crossing",

@@ -120,12 +120,14 @@ class HolderReport:
     ratios map each exponent t to ||.||_t / ||.||_r; delta is the norm
     deficit over the exponents of t_grid lying above p-1, evaluated only
     when r = p-1 (the normalization the deficit is defined for), else nan.
+    scale is ||u||_r / ||z||_r, the factor that matches the L^r norms.
     """
 
     t_grid: tuple[float, ...]
     ratios_instance: dict[float, float]
     ratios_model: dict[float, float]
     delta: float
+    scale: float
 
 
 def _rhs_factory(space: WeightedInterval, p: float, lam: float):
@@ -297,10 +299,13 @@ def _pair_from(space: WeightedInterval, p: float, lam: float, v: float,
             z[rest], m[rest] = interp(c[rest])
         return c, z, m
 
+    def pinned(c, z):
+        z[c >= r_v] = 0.0
+        return np.maximum(z, 0.0, out=z)
+
     def z_at(t):
         c, z, _ = state(t)
-        z[c >= r_v] = 0.0
-        np.maximum(z, 0.0, out=z)
+        z = pinned(c, z)
         return z if np.ndim(t) else float(z[0])
 
     def zprime_at(t):
@@ -312,11 +317,13 @@ def _pair_from(space: WeightedInterval, p: float, lam: float, v: float,
         _, _, m = state(rho)
         return -m if np.ndim(rho) else -float(m[0])
 
+    # one state on the grid serves the negativity scan, w and wprime
     grid = numerics.cosine_grid(0.0, r_v, 2048)
-    raw = interp(grid[(grid > eps) & (grid < r_v)])[0]
+    c, z, m = state(grid)
+    raw = z[(grid > eps) & (grid < r_v)]
     if raw.size and float(np.min(raw)) < -1e-6:
         raise NonConvergence("eigenfunction went negative inside the domain")
-    sol = RadialSolution(grid=grid, w=z_at(grid), wprime=zprime_at(grid),
+    sol = RadialSolution(grid=grid, w=pinned(c, z), wprime=slope(c, m),
                          r1=r_v, w_at=z_at, wprime_at=zprime_at,
                          mass_at=mass_at)
     return EigenPair(lam=lam, sol=sol, p=p, space=space, v=float(v),
@@ -418,8 +425,8 @@ def _norms(u: EigenPair, z: EigenPair, ts) -> tuple[dict, dict]:
     return {t: lp_norm(u, t) for t in ts}, {t: lp_norm(z, t) for t in ts}
 
 
-def chiti_compare(u: EigenPair, z: EigenPair,
-                  r: float) -> tuple[float, float]:
+def chiti_compare(u: EigenPair, z: EigenPair, r: float,
+                  scale: float | None = None) -> tuple[float, float]:
     """Single-crossing comparison of the symmetrized instance eigenfunction.
 
     u is symmetrized onto the model segment underlying z, z is rescaled
@@ -430,12 +437,14 @@ def chiti_compare(u: EigenPair, z: EigenPair,
     two-sided ordering.  Differences within a 1e-6 band count as
     equality; if the whole difference stays inside the band the pair is
     degenerate-equal and (r_alpha, 0) is returned, while a genuinely
-    one-sided difference raises NoCrossing.
+    one-sided difference raises NoCrossing.  scale, when given, is the
+    matched factor ||u||_r / ||z||_r (HolderReport.scale holds it), and
+    saves integrating both norms again.
     """
     check_exponent("norm exponent r", r)
     _check_pair(u, z, u.p)
 
-    c = lp_norm(u, r) / lp_norm(z, r)
+    c = lp_norm(u, r) / lp_norm(z, r) if scale is None else scale
     r_alpha = z.sol.r1
     x = np.linspace(0.0, r_alpha, 4097)
 
@@ -500,7 +509,8 @@ def reverse_holder(u: EigenPair, z: EigenPair, r: float,
     else:
         delta = math.nan
     return HolderReport(t_grid=ts, ratios_instance=ratios_u,
-                        ratios_model=ratios_z, delta=delta)
+                        ratios_model=ratios_z, delta=delta,
+                        scale=nu[r] / nz[r])
 
 
 def _deficits(p: float, nu: dict, nz: dict, ts) -> list[float]:

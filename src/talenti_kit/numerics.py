@@ -15,11 +15,15 @@ Everything downstream leans on three primitives that live here:
   the step representation.
 
 * ``MonotoneTable``: a tabulated cumulative of a positive density on
-  ``[0, L]`` at one fixed resolution, with machine-accurate pointwise
-  evaluation (table value at the nearest node plus one Clenshaw sum of
-  the cell's Chebyshev antiderivative, built from the same Kronrod node
-  values; the two end cells integrate one Kronrod panel instead) and a
-  vectorized, per-point guarded Newton inverse.
+  ``[0, L]``.  Its grid is a coarse cosine base whose end intervals are
+  graded geometrically into the endpoints, where densities vanish or
+  blow up like powers, and known kinks are pinned to cell edges.
+  Pointwise evaluation is machine-accurate: the table value at the
+  nearest node plus one Clenshaw sum of the cell's Chebyshev
+  antiderivative, built from the same Kronrod node values.  The first
+  cell follows a power law fitted to its nodes, the last integrates one
+  Kronrod panel, and the inverse is a vectorized, per-point guarded
+  Newton iteration.
 
 Integrands passed to these kernels must accept numpy arrays and evaluate
 elementwise; none of the rules ever samples an interval endpoint, so
@@ -310,22 +314,61 @@ def generalized_inverse(m, s: float) -> float:
 
 # Newton rounds the table inverse may spend before NonConvergence.
 _NEWTON_ROUNDS = 100
-# cosine grid intervals of every table; each is split into two cells
-_TABLE_CELLS = 4096
+# cosine grid intervals of every table's base; each is split into two cells
+_TABLE_CELLS = 64
+# points at 2**-k, k = 1.._END_GRADES, of the way to each endpoint that
+# replace the base grid's two end intervals on either side
+_END_GRADES = 40
+
+
+def _power_exponent(vals: np.ndarray) -> float:
+    """Exponent k of the cumulative c * t**k whose density passes through
+    the first cell's outermost Kronrod node values, or 0.0 when those
+    values do not fit a power law with k > 0."""
+    lo, hi = float(vals[0]), float(vals[-1])
+    if not (lo > 0.0 and hi > 0.0 and math.isfinite(lo) and math.isfinite(hi)):
+        return 0.0
+    k = 1.0 + math.log(hi / lo) / math.log(_OFFSETS[-1] / _OFFSETS[0])
+    return k if k > 0.0 and math.isfinite(k) else 0.0
+
+
+def _graded_grid(length: float) -> np.ndarray:
+    """Cosine base grid on [0, length] whose first and last two
+    intervals give way to points halving towards the endpoint.
+
+    Neighbouring grading points differ by a factor 2.  Grading from the
+    second cosine node leaves 9/4 as the largest ratio next to the
+    grading; from the first node it would be 4, and t**1.5 would lose
+    about 20 times more relative accuracy there.  Right-end points
+    within 64 eps * length of length are dropped, since they would
+    round onto it and leave cells of zero width.
+    """
+    base = cosine_grid(0.0, length, _TABLE_CELLS)
+    grades = 2.0 ** -np.arange(_END_GRADES, 0, -1)
+    left = base[2] * grades
+    right = length - (length - base[-3]) * grades[::-1]
+    right = right[length - right > 64.0 * _EPS * length]
+    return np.concatenate([[0.0], left, base[2:-2], right, [length]])
 
 
 class MonotoneTable:
     """Tabulated cumulative of a positive density on [0, length].
 
-    The density is evaluated once at the 15 Kronrod nodes of every cell
-    of a cosine-clustered grid of _TABLE_CELLS intervals, plus any
-    pinned knots (two cells per interval).  The Kronrod sums give the
-    table entries, and a fixed linear map turns the same values into
-    the Chebyshev coefficients of each cell's antiderivative.  A pointwise value is the table entry at the nearest
-    node below plus one Clenshaw sum in that cell, with no density call.
-    The first and last cells, where the density may vanish like a power
-    and only a relative error is meaningful, integrate one Kronrod
-    panel over the remainder instead.  The inverse runs a vectorized
+    The grid is the _graded_grid of _TABLE_CELLS cosine intervals with
+    _END_GRADES points grading each end, so a density behaving like a
+    power of the distance to an endpoint stays spectrally resolved in
+    every cell.  Pinned knots (known kinks or jumps) join the grid, and
+    each interval is split into two cells.  The density is evaluated
+    once at the 15 Kronrod nodes of every cell.  The Kronrod sums give
+    the table entries, and a fixed linear map turns the same values
+    into the Chebyshev coefficients of each cell's antiderivative.  A
+    pointwise value is the table entry at the nearest node below plus
+    one Clenshaw sum in that cell, with no density call.  The first
+    cell holds the cumulative c*t**k whose density passes through its
+    outermost nodes: a Kronrod sum of a power law there loses relative
+    accuracy that every later entry would inherit.  A first cell that
+    fits no such law, and the last cell, integrate one Kronrod panel
+    over the remainder instead.  The inverse runs a vectorized
     guarded Newton iteration inside the bracketing cell on the same
     sums, with the density as the derivative.  Each point starts from a
     power-law guess fitted to its cell, exact when the cell cumulative
@@ -342,7 +385,7 @@ class MonotoneTable:
             raise InvalidParameter("length must be positive and finite")
         self.density = density
         self.length = float(length)
-        base = cosine_grid(0.0, self.length, _TABLE_CELLS)
+        base = _graded_grid(self.length)
         pins = np.asarray(knots, dtype=float)
         if pins.size:
             # pin known kinks/jumps of the density to cell edges so no
@@ -358,6 +401,11 @@ class MonotoneTable:
         vals = _node_values(density, fine[:-1], widths)
         half = 0.5 * widths
         inc = half * np.einsum("ij,j->i", vals, _WEIGHTS_K)
+        # exponent k of the first cell's power law, 0.0 if none fits
+        self._k0 = _power_exponent(vals[0])
+        if self._k0:
+            inc[0] = widths[0] * vals[0, -1] / (
+                _OFFSETS[-1] ** (self._k0 - 1.0) * self._k0)
         self._c = np.concatenate([[0.0], np.cumsum(inc)])
         self.total = float(self._c[-1])
         # one row per Chebyshev degree: a query gathers row by row
@@ -374,7 +422,13 @@ class MonotoneTable:
         for row in self._coef[-2:0:-1]:
             b1, b2 = row[idx] + s2 * b1 - b2, b1
         out = self._coef[0, idx] + s * b1 - b2
-        end = np.flatnonzero((idx == 0) | (idx == self._x.size - 2))
+        kronrod = idx == self._x.size - 2
+        if self._k0:
+            first = idx == 0
+            out[first] = self._c[1] * (t[first] / self._x[1]) ** self._k0
+        else:
+            kronrod |= idx == 0
+        end = np.flatnonzero(kronrod)
         if end.size:
             out[end] = _panels(self.density, x0[end], t[end])[0]
         return out

@@ -175,6 +175,8 @@ def _rearranged_source(inst: ProblemInstance):
     Sources that are already nonincreasing compose exactly with the
     inverse volume map and return no step; anything else goes through
     cell sampling into a step function, which is first-order accurate.
+    The knot masses are the masses of the source's own knots, or the
+    step's jumps, so the model side can pin every kink of its slope.
     """
     r1 = inst.r1
     probes = np.linspace(0.0, r1, 2049)
@@ -199,7 +201,7 @@ def _rearranged_source(inst: ProblemInstance):
     def fsharp_at(s):
         return step(np.clip(np.asarray(s, dtype=float), 0.0, inst.v))
 
-    return fsharp_at, step, ()
+    return fsharp_at, step, tuple(step.breakpoints)
 
 
 def _source_cumulative(inst: ProblemInstance, u: RadialSolution, step):
@@ -256,8 +258,9 @@ def run_comparison(inst: ProblemInstance,
     model = inst.model
     r_v = inst.model_radius
     fstar = lambda x: fsharp_at(model.cumulative(x))
-    star_knots = tuple(float(model.inverse_cumulative(s))
-                       for s in knot_masses if 0.0 < s < inst.v)
+    masses = np.asarray(knot_masses, dtype=float)
+    masses = masses[(masses > 0.0) & (masses < inst.v)]
+    star_knots = tuple(model.inverse_cumulative(masses).tolist())
     prob_w = RadialProblem(model, p, fstar, r_v, f_knots=star_knots)
     # the model mass of f* is F(H(rho)) exactly, so the model solve can
     # skip re-integrating the composed source

@@ -610,13 +610,13 @@ class TestSharedSolves:
 
     def test_holder_norms_each_pair_once_per_exponent(self, tmp_path,
                                                       monkeypatch):
-        # chiti_compare's two norms at r = p - 1, then reverse_holder's
-        # at the 3 exponents of the default t_grid; its deficit reuses them
+        # reverse_holder's norms at the 3 exponents of the default t_grid;
+        # its deficit and chiti_compare's matched scale reuse them
         calls = []
         self._count(monkeypatch, eigen, ["lp_norm"], calls)
         out = run_text(tmp_path, TestCallOrder.HOLDER, monkeypatch)
         assert read_record(out, "hold")["status"] == "pass"
-        assert len(calls) == 2 + 2 * 3
+        assert len(calls) == 2 * 3
 
     def test_sobolev_computes_each_constant_once(self, tmp_path, monkeypatch):
         # the README example: the row at s reuses the check's c2

@@ -481,6 +481,28 @@ class TestProfileState:
             np.full(3, pair.sol.mass_at(r_v)))
         assert pair.zprime_at(r_v) < 0.0 < pair.sol.mass_at(r_v)
 
+    def test_pair_reads_the_interpolant_twice(self, cap, monkeypatch):
+        # once for z(r_v), once on the output grid for the negativity
+        # scan, w and wprime together
+        counts = []
+        real = eigen._pair_from
+
+        def counting(*args):
+            *head, interp = args
+            calls = []
+
+            def wrapped(t):
+                calls.append(1)
+                return interp(t)
+
+            pair = real(*head, wrapped)
+            counts.append(len(calls))
+            return pair
+
+        monkeypatch.setattr(eigen, "_pair_from", counting)
+        first_eigenpair(cap, 0.4, 2.0)
+        assert counts and all(n == 2 for n in counts)
+
     def test_origin_slope_is_negative_zero(self, model_pair_p2):
         zp = model_pair_p2.zprime_at(0.0)
         assert zp == 0.0 and math.copysign(1.0, zp) == -1.0

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc, betaincinv
 
 from talenti_kit.errors import InvalidParameter, OutOfDomain
 from talenti_kit.model_space import ModelSpace
@@ -116,6 +117,43 @@ class TestFractionalDimension:
         ms = ModelSpace(0.7, 4.2)
         for v in [0.01, 0.3, 0.77, 0.99]:
             assert abs(ms.cumulative(ms.inverse_cumulative(v)) - v) <= 1e-9
+
+
+def _half_mass(N, x):
+    """Model mass of [0, x / scale] for x <= pi/2: sin**(N-1) integrates
+    to half the regularized incomplete beta at sin(x)**2."""
+    return 0.5 * betainc(0.5 * N, 0.5, np.sin(x) ** 2)
+
+
+class TestBetaOracles:
+    """H and its inverse against scipy's incomplete beta function."""
+
+    @pytest.mark.parametrize("N", [1.1, 1.5])
+    def test_cumulative_relative_at_small_masses(self, N):
+        # masses from about 1e-27 up to 1e-6, where the density vanishes
+        # like t**(N-1): the end grading and the first cell's power law
+        # keep the error relative
+        ms = ModelSpace(2.0, N)
+        scale = math.sqrt(2.0 / (N - 1.0))
+        ts = ms.L * np.logspace(-16.0, -2.0, 400)
+        exact = _half_mass(N, scale * ts)
+        keep = exact <= 1e-6
+        rel = np.abs(ms.cumulative(ts[keep]) - exact[keep]) / exact[keep]
+        assert keep.sum() > 100
+        assert np.max(rel) <= 1e-13
+
+    def test_inverse_at_n_1_1(self):
+        # the density vanishes like t**0.1 at both ends
+        K, N = 1.0, 1.1
+        ms = ModelSpace(K, N)
+        scale = math.sqrt(K / (N - 1.0))
+        vs = np.concatenate([np.logspace(-12.0, -2.0, 41),
+                             np.linspace(0.01, 0.99, 99),
+                             1.0 - np.logspace(-12.0, -2.0, 41)])
+        low = np.minimum(vs, 1.0 - vs)
+        x = np.arcsin(np.sqrt(betaincinv(0.5 * N, 0.5, 2.0 * low))) / scale
+        exact = np.where(vs <= 0.5, x, ms.L - x)
+        assert np.max(np.abs(ms.inverse_cumulative(vs) - exact)) <= 1e-13 * ms.L
 
 
 class TestValidation:

@@ -217,8 +217,10 @@ class TestMonotoneTable:
         calls.clear()
         table.cumulative(np.linspace(0.01, math.pi - 0.01, 10_000))
         assert calls == []
-        # the end cells integrate a Kronrod panel over the remainder
-        table.cumulative(np.array([1e-7, math.pi - 1e-7]))
+        # the first cell follows its fitted power law; the last integrates
+        # a Kronrod panel over the remainder
+        x = table._x
+        table.cumulative(np.array([x[1] / 2.0, 0.5 * (x[-2] + x[-1])]))
         assert len(calls) == 1
 
     def test_cumulative_against_closed_form_at_many_points(self):
@@ -253,3 +255,39 @@ class TestMonotoneTable:
             1.0 - np.logspace(-15.0, -2.0, 27)])
         back = table.cumulative(table.inverse(vs))
         assert np.max(np.abs(back - vs) / vs) < 1e-12
+
+
+class TestGradedTable:
+    """A coarse cosine base graded geometrically into both endpoints."""
+
+    def test_table_without_knots_is_small(self):
+        table = MonotoneTable(np.sin, math.pi)
+        assert table._x.size - 1 <= 300
+
+    @pytest.mark.parametrize("length", [1e-3, 1.0, math.pi, 1e3])
+    def test_cells_have_positive_width(self, length):
+        # grading points that would round onto the right end are dropped
+        table = MonotoneTable(lambda t: np.ones_like(np.asarray(t)), length)
+        assert np.all(np.diff(table._x) > 0.0)
+        assert table._x[0] == 0.0 and table._x[-1] == length
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.1, 1.0 / 9.0, 0.5, 2.0])
+    def test_power_law_masses_relative_down_to_tiny_masses(self, alpha):
+        # the first cell follows the power law fitted to its nodes, so
+        # masses far below its own stay relatively exact: t**alpha has
+        # cumulative t**(alpha + 1) / (alpha + 1)
+        table = MonotoneTable(lambda t: np.asarray(t, dtype=float) ** alpha,
+                              1.0)
+        ts = np.logspace(-30.0, 0.0, 301)
+        exact = ts ** (alpha + 1.0) / (alpha + 1.0)
+        assert np.max(np.abs(table.cumulative(ts) - exact) / exact) <= 2e-14
+
+    def test_density_zero_on_the_first_cell(self):
+        # no power law fits a vanishing first cell; its Kronrod sum is 0
+        jump = 0.5
+        table = MonotoneTable(
+            lambda t: np.where(np.asarray(t, dtype=float) < jump, 0.0, 2.0),
+            1.0, knots=(jump,))
+        ts = np.linspace(0.0, 1.0, 1001)
+        exact = np.where(ts < jump, 0.0, 2.0 * (ts - jump))
+        assert np.max(np.abs(table.cumulative(ts) - exact)) <= 1e-15

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from talenti_kit.radial_poisson import (
     weak_residual,
 )
 from talenti_kit.rearrangement import StepFunction
+from talenti_kit.talenti_check import make_shifted_cap
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +198,39 @@ class TestPowerSigned:
     def test_odd_power(self):
         assert power_signed(np.array([-4.0, 9.0, -8.0]), 0.5).tolist() == [
             -2.0, 3.0, -math.sqrt(8.0)]
+
+
+def _sup_const_one(a, r1, p):
+    """sup u for f = 1 on the (K=2, N=3) model cut at a, to 30 digits.
+
+    The density is sin(t + a)**2 up to a constant, so the slope is
+    ((r - cos(2a + r) sin r) / (2 sin(r + a)**2))**(1/(p-1)); at a = 0
+    the numerator cancels to about 2 r**3 / 3, hence the extra digits
+    near r = 0.
+    """
+    def slope(r):
+        with mp.workdps(30 + 3 * max(0, int(-mp.log10(r)))):
+            num = r - mp.cos(2 * a + r) * mp.sin(r)
+            return (num / (2 * mp.sin(r + a) ** 2)) ** e
+
+    with mp.workdps(30):
+        a, e = mp.mpf(a), mp.mpf(1) / (mp.mpf(p) - 1)
+        return float(mp.quad(slope, [0, mp.mpf(r1)]))
+
+
+class TestSupAgainstMpmath:
+    """sup u = u(0) for f = 1 against an mpmath quadrature of the slope,
+    which vanishes like r**(1/(p-1)) at the origin."""
+
+    @pytest.mark.parametrize("p", [1.2, 2.0, 10.0])
+    @pytest.mark.parametrize("a", [0.0, 0.25])
+    def test_sup_u(self, a, p):
+        space = ModelSpace(2.0, 3.0) if a == 0.0 else make_shifted_cap(
+            2.0, 3.0, a)
+        for r1 in (0.6, 1.3, 2.0):
+            sol = solve_explicit(RadialProblem(space, p, ONES, r1))
+            exact = _sup_const_one(a, r1, p)
+            assert abs(sol.w_at(0.0) - exact) <= 1e-14 * exact
 
 
 class TestStructure:

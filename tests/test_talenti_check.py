@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from talenti_kit import numerics, talenti_check
 from talenti_kit.errors import (
     DegenerateLevel,
     InvalidMass,
@@ -177,6 +178,29 @@ class TestShiftedCapComparison:
         rep = run_comparison(inst)
         assert rep.pointwise_violation <= 1e-8
         assert rep.gradient_ok(1e-8)
+
+
+class TestTableResolution:
+    def test_origin_gap_settled_at_64_intervals(self, monkeypatch):
+        # an increasing two-level source goes through the sampled
+        # rearrangement; its jumps are pinned on the model side, so four
+        # times the base resolution moves nothing beyond rounding
+        split = 0.326788
+
+        def run():
+            cap = make_shifted_cap(2.0, 3.0, 0.293249, 0.317594)
+            f = lambda t: np.where(np.asarray(t, dtype=float) < split,
+                                   0.599928, 1.76286)
+            inst = ProblemInstance(cap, 2.0, f, 0.317594, label="cap",
+                                   f_knots=(split,))
+            return run_comparison(inst).origin_gap
+
+        coarse = run()
+        monkeypatch.setattr(numerics, "_TABLE_CELLS", 256)
+        monkeypatch.setattr(talenti_check, "_MODELS", {})
+        fine = run()
+        assert abs(fine - coarse) <= 1e-13
+        assert coarse == pytest.approx(0.185487259525593, abs=1e-13)
 
 
 class TestLevyGromov:
