@@ -671,7 +671,7 @@ def _run_sweep(sc: Scenario, scale: float):
     for a in params["a_list"]:
         cap = make_shifted_cap(K, N, a, v)
         u = first_eigenpair(cap, v, p, seed=seed)
-        seed = u.lam  # eigenvalues grow with the shift; reuse as bracket hint
+        seed = u.lam  # eigenvalues grow with a; the next secant starts here
         alpha, z = alpha_from_lambda(up, u.lam)
         per_q = stability_deficits(u, z, p, params["Q"])
         delta = max(per_q)

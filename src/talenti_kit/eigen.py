@@ -13,13 +13,15 @@ turns this into the first-order system
 
 whose first zero moves continuously and strictly decreasingly with lam
 (Elbert 1979), so the eigenvalue is the unique lam placing that zero
-exactly at r_v; a regula-falsi loop with bisection fallback finds it
-from a bracket.  The same monotonicity inverts the model eigenvalue
-curve v -> lambda(v) in one integration: the model ball whose first
-eigenvalue is a given lam ends at the first zero of the model solution
-shot at that lam, so alpha_from_lambda needs no search over masses, and
-that solution up to the zero is the model eigenpair on the ball, with
-lam as its eigenvalue by construction.  Both routes build their
+exactly at r_v.  The zero scales almost like lam^{-1/p}, so a secant
+on log r0 against log lam, started at the seed and kept inside the
+bracket the signs seen so far span, finds it in a few solves.  The
+same monotonicity inverts the model eigenvalue curve v -> lambda(v)
+in one integration: the model ball whose first eigenvalue is a given
+lam ends at the first zero of the model solution shot at that lam, so
+alpha_from_lambda needs no search over masses, and that solution up to
+the zero is the model eigenpair on the ball, with lam as its eigenvalue
+by construction.  Both routes build their
 EigenPair in _pair_from.  The RHS reads the density one scalar at a
 time; model and cap densities answer a float argument through math.sin
 without array setup.
@@ -60,6 +62,8 @@ from .talenti_check import model_for
 
 _ATOL = (1e-14, 1e-18)
 _NORM_TOL = numerics.Tolerance(rel=1e-11, abs=1e-15)
+# solve_ivp solves one eigenvalue search may make
+_SHOOTING_SOLVES = 100
 
 
 @dataclass
@@ -183,52 +187,53 @@ def _first_zero(space: WeightedInterval, p: float, lam: float, eps: float,
 
 def _shooting_lambda(space: WeightedInterval, p: float, r_v: float,
                      seed: float) -> float:
-    """Regula falsi with Illinois damping on (first zero of z) - r_v."""
+    """Safeguarded secant on g(lam) = log(r0(lam) / r_v) against log lam.
+
+    r0 falls strictly in lam and scales almost like lam**(-1/p), so the
+    first step from the seed is lam * exp(p * g), along that law's slope
+    -1/p.  Later steps take the slope of the secant through the last two
+    finite values, and keep the previous slope when noise in r0 makes
+    the secant's nonnegative.  The signs seen so far keep a bracket
+    [lo, hi]; no zero before the horizon counts as g > 0.  While hi is
+    unknown a step goes at most to 2 * lo, since r0 flattens near the
+    end of a segment and secants there overshoot by orders of magnitude.
+    A step leaving a closed bracket halves hi while lo is unknown, and
+    takes the geometric midpoint otherwise.  The loop stops once the
+    bracket is within 5e-13 * hi or a step within 1e-14 * lam, and
+    raises NonConvergence when _SHOOTING_SOLVES solves do not get there.
+    """
     eps = 1e-6 * r_v
     horizon = r_v + min(0.25 * r_v, 0.9 * (space.length - r_v))
-    g = lambda lam: _first_zero(space, p, lam, eps, horizon)[0] - r_v
-
-    lo, hi = 0.1 * seed, 100.0 * seed
-    flo, fhi = g(lo), g(hi)
-    grow = 0
-    while flo <= 0.0:
-        # zero already fires below r_v: the true eigenvalue sits lower
-        hi, fhi = lo, flo
-        lo *= 0.125
-        flo = g(lo)
-        grow += 1
-        if grow > 40:
-            raise NonConvergence("no lower bracket for the shooting eigenvalue")
-    while fhi > 0.0:
-        lo, flo = hi, fhi
-        hi *= 8.0
-        fhi = g(hi)
-        grow += 1
-        if grow > 40:
-            raise NonConvergence("no upper bracket for the shooting eigenvalue")
-
-    side = 0
-    for _ in range(90):
-        if hi - lo <= 5e-13 * hi:
-            break
-        if math.isfinite(flo) and math.isfinite(fhi):
-            lam = (lo * fhi - hi * flo) / (fhi - flo)
-            if not (lo < lam < hi):
-                lam = 0.5 * (lo + hi)
-        else:
-            lam = 0.5 * (lo + hi)
-        f = g(lam)
+    lo, hi = 0.0, math.inf
+    lam, prev, slope = seed, None, -1.0 / p
+    for _ in range(_SHOOTING_SOLVES):
+        f = math.log(_first_zero(space, p, lam, eps, horizon)[0] / r_v)
         if f == 0.0:
             return lam
         if f > 0.0:
-            if side > 0 and math.isfinite(fhi):
-                fhi *= 0.5
-            lo, flo, side = lam, f, 1
+            lo = lam
         else:
-            if side < 0 and math.isfinite(flo):
-                flo *= 0.5
-            hi, fhi, side = lam, f, -1
-    return 0.5 * (lo + hi)
+            hi = lam
+        if lo >= (1.0 - 5e-13) * hi:
+            return 0.5 * (lo + hi)
+        nxt = math.nan
+        if math.isfinite(f):
+            if prev is not None:
+                sec = (f - prev[1]) / math.log(lam / prev[0])
+                if sec < 0.0:
+                    slope = sec
+            nxt = lam * math.exp(-f / slope)
+            prev = (lam, f)
+        if hi == math.inf:
+            nxt = min(nxt, 2.0 * lo) if nxt > lo else 2.0 * lo
+        elif not lo < nxt < hi:
+            nxt = 0.5 * hi if lo == 0.0 else math.sqrt(lo * hi)
+        if abs(nxt - lam) <= 1e-14 * lam:
+            return nxt
+        lam = nxt
+    raise NonConvergence(
+        f"shooting eigenvalue unsettled after {_SHOOTING_SOLVES} solves "
+        f"(bracket [{lo:.6g}, {hi:.6g}])")
 
 
 def first_eigenpair(space: WeightedInterval, v: float, p: float,
@@ -236,10 +241,10 @@ def first_eigenpair(space: WeightedInterval, v: float, p: float,
     """Shooting solve for the first Dirichlet eigenpair at mass fraction v.
 
     v is the fraction of the total mass, so the answer is invariant
-    under rescaling the density by a constant.  seed anchors the
-    eigenvalue bracket [seed/10, 100*seed]; callers holding a nearby
-    eigenvalue (model comparisons, parameter sweeps) pass it to skip
-    the bracket expansion.
+    under rescaling the density by a constant.  seed is where the
+    shooting secant starts, (pi / (2 r_v))**p by default; callers
+    holding a nearby eigenvalue (model comparisons, parameter sweeps)
+    pass it and save solves.
     """
     if not (p > 1.0 and math.isfinite(p)):
         raise InvalidParameter(f"exponent p={p} must exceed 1")

@@ -375,7 +375,8 @@ class MonotoneTable:
     is c*(t - lo)**k; the fit samples the density at the cell's right
     edge, and a non-finite value there gives a linear guess.  Steps that
     would leave the shrinking bracket fall back to bisection, each point
-    stops on its own Newton step, and targets 0 and total are pinned to
+    stops on its own Newton step (within 4e-16 * length, and within
+    1e-14 * t near 0), and targets 0 and total are pinned to
     the endpoints without iterating.  Points still unsettled after
     _NEWTON_ROUNDS rounds raise NonConvergence.
     """
@@ -477,10 +478,13 @@ class MonotoneTable:
         t = np.clip(t, lo, hi)
         out = np.empty_like(target)
         todo = np.arange(target.size)
-        step_tol = 4e-16 * self.length
+        floor = 4e-16 * self.length
         # each point stops on its own Newton step, tested before the
-        # bracket guard; steps leaving the bracket fall back to bisection
+        # bracket guard; steps leaving the bracket fall back to bisection.
+        # The stop is relative to t near 0, where the absolute floor would
+        # pass a first step that still carries a relative error
         for _ in range(_NEWTON_ROUNDS):
+            step_tol = np.minimum(floor, 1e-14 * t)
             ft = base + self._increment(idx, t) - target
             below = ft < 0.0
             lo = np.where(below, t, lo)

@@ -234,6 +234,64 @@ class TestAlphaFromLambda:
         with pytest.raises(NonConvergence):
             alpha_from_lambda(up, 2.0 * up.lam)
 
+    def test_shooting_without_zero_raises_within_budget(self, cap,
+                                                        monkeypatch):
+        # no zero before the horizon at any lam: the search doubles lam
+        # until its solve budget runs out, then raises
+        calls = []
+
+        def no_zero(*args):
+            calls.append(args[2])
+            return math.inf, None
+
+        monkeypatch.setattr(eigen, "_first_zero", no_zero)
+        with pytest.raises(NonConvergence):
+            first_eigenpair(cap, 0.4, 2.0)
+        assert len(calls) == eigen._SHOOTING_SOLVES
+        assert all(b == 2.0 * a for a, b in zip(calls, calls[1:]))
+
+
+class TestShootingSolves:
+    """The secant on log r0 against log lam settles in a few solves."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+        real = eigen.solve_ivp
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(eigen, "solve_ivp", counting)
+        return calls
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_model_seeded_cap_pair_within_eight_solves(self, cap, p,
+                                                       monkeypatch):
+        seed = model_eigenpair(2.0, 3.0, p, 0.4).lam
+        calls = self._counted(monkeypatch)
+        first_eigenpair(cap, 0.4, p, seed=seed)
+        # the final dense solve included
+        assert len(calls) <= 8
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_seed_far_off_gives_the_same_eigenvalue(self, cap, p):
+        seed = model_eigenpair(2.0, 3.0, p, 0.4).lam
+        lam = first_eigenpair(cap, 0.4, p, seed=seed).lam
+        for factor in (100.0, 0.01):
+            far = first_eigenpair(cap, 0.4, p, seed=factor * seed).lam
+            assert abs(far - lam) <= 1e-12 * lam
+
+    def test_near_full_mass_settles(self, monkeypatch):
+        # r0 barely moves with lam near the end of the segment, where a
+        # secant through two low values overshoots by orders of magnitude
+        cap = make_shifted_cap(2.0, 3.0, 0.1, 0.99)
+        calls = self._counted(monkeypatch)
+        lam = first_eigenpair(cap, 0.99, 1.5).lam
+        assert len(calls) <= 12
+        assert rayleigh_fem(cap, 0.99, 1.5) == pytest.approx(lam, rel=1e-3)
+
 
 class TestFaberKrahn:
     def test_model_instance_equality(self):

@@ -155,6 +155,14 @@ class TestBetaOracles:
         exact = np.where(vs <= 0.5, x, ms.L - x)
         assert np.max(np.abs(ms.inverse_cumulative(vs) - exact)) <= 1e-13 * ms.L
 
+    @pytest.mark.parametrize("v", [1e-14, 1e-10])
+    @pytest.mark.parametrize("N", [1.1, 1.5])
+    def test_inverse_round_trip_relative_at_tiny_masses(self, N, v):
+        # the radius is near 1e-13 at N = 1.1, v = 1e-14: a Newton stop
+        # on an absolute step of 4e-16 * L kept a 2.4e-8 relative error
+        ms = ModelSpace(1.0, N)
+        assert abs(ms.cumulative(ms.inverse_cumulative(v)) / v - 1.0) <= 1e-12
+
 
 class TestValidation:
     def test_rejects_nonpositive_curvature(self):
