@@ -459,8 +459,7 @@ def _run_model_probe(sc: Scenario, scale: float):
         _check("profile-positive", float(np.min(prof))),
         _check("radius-monotone", float(np.min(np.diff(radii)))),
     ]
-    rows = list(zip(vs, radii, prof))
-    return checks, [(("v", "radius", "profile"), rows)]
+    return checks, [(("v", "radius", "profile"), (vs, radii, prof))]
 
 
 def _run_symmetrize(sc: Scenario, scale: float):
@@ -484,12 +483,10 @@ def _run_symmetrize(sc: Scenario, scale: float):
         _check("nonincreasing",
                -float(np.max(np.diff(step.levels), initial=0.0))),
     ]
-    edges = [0.0, *map(float, step.breakpoints)]
-    rows = []
-    for i, lv in enumerate(map(float, step.levels)):
-        right = edges[i + 1] if i + 1 < len(edges) else None
-        rows.append((edges[i], right, lv))
-    return checks, [(("mass_left", "mass_right", "level"), rows)]
+    # one level per cell; the last cell has no right edge
+    edges = [0.0, *map(float, step.breakpoints), None]
+    return checks, [(("mass_left", "mass_right", "level"),
+                     (edges[:-1], edges[1:], list(map(float, step.levels))))]
 
 
 def _solve(params: dict):
@@ -523,8 +520,7 @@ def _run_poisson(sc: Scenario, scale: float):
             w_max = max(1.0, float(np.max(np.abs(sol.w))))
             checks.append(_check("route-agreement",
                                  1e-7 * scale * w_max - gap))
-    rows = list(zip(sol.grid, sol.w, sol.wprime))
-    return checks, [(("rho", "w", "wprime"), rows)]
+    return checks, [(("rho", "w", "wprime"), (sol.grid, sol.w, sol.wprime))]
 
 
 def _run_talenti(sc: Scenario, scale: float):
@@ -545,18 +541,13 @@ def _run_talenti(sc: Scenario, scale: float):
         checks.append(_check(f"gradient-r{_fmt(r)}", rhs - lhs + 1e-8 * scale))
     if not math.isnan(rep.sharpness_gap):
         checks.append(_check("sharpness", 1e-6 * scale - rep.sharpness_gap))
-    rows = [
-        ("pointwise_violation", rep.pointwise_violation),
-        ("grid_bound", rep.grid_bound),
-        ("levy_gromov_min_ratio", rep.levy_gromov_min_ratio),
-        ("sharpness_gap", rep.sharpness_gap),
-        ("sup_u", rep.sup_u),
-        ("origin_gap", rep.origin_gap),
-    ]
+    metrics = ["pointwise_violation", "grid_bound", "levy_gromov_min_ratio",
+               "sharpness_gap", "sup_u", "origin_gap"]
+    values = [getattr(rep, m) for m in metrics]
     for r, (lhs, rhs) in rep.gradient_gaps.items():
-        rows.append((f"gradient_lhs_r{_fmt(r)}", lhs))
-        rows.append((f"gradient_rhs_r{_fmt(r)}", rhs))
-    return checks, [(("metric", "value"), rows)]
+        metrics += [f"gradient_lhs_r{_fmt(r)}", f"gradient_rhs_r{_fmt(r)}"]
+        values += [lhs, rhs]
+    return checks, [(("metric", "value"), (metrics, values))]
 
 
 def _run_eigen(sc: Scenario, scale: float):
@@ -583,11 +574,10 @@ def _run_eigen(sc: Scenario, scale: float):
         dist = float(np.max(np.abs(
             np.asarray(pair.z_at(tg), dtype=float) / z0 - np.cos(tg))))
         checks.append(_check("cosine-profile", 1e-4 * scale - dist))
-    rows = list(zip(pair.sol.grid, pair.sol.w, pair.sol.wprime))
-    spectrum = [(pair.lam, fk.model.lam, margin)]
     return checks, [
-        (("t", "z", "zprime"), rows),
-        (("lambda_instance", "lambda_model", "margin"), spectrum),
+        (("t", "z", "zprime"), (pair.sol.grid, pair.sol.w, pair.sol.wprime)),
+        (("lambda_instance", "lambda_model", "margin"),
+         ([pair.lam], [fk.model.lam], [margin])),
     ]
 
 
@@ -610,12 +600,13 @@ def _run_holder(sc: Scenario, scale: float):
         checks.append(_check(
             f"holder-t{_fmt(t)}",
             rep.ratios_model[t] - rep.ratios_instance[t] + 1e-8 * scale))
-    rows = [(t, rep.ratios_instance[t], rep.ratios_model[t])
-            for t in rep.t_grid]
-    extra = [(alpha, crossing, viol, rep.delta)]
+    ratios = (list(rep.t_grid),
+              [rep.ratios_instance[t] for t in rep.t_grid],
+              [rep.ratios_model[t] for t in rep.t_grid])
     return checks, [
-        (("t", "ratio_instance", "ratio_model"), rows),
-        (("alpha", "crossing", "violation", "delta"), extra),
+        (("t", "ratio_instance", "ratio_model"), ratios),
+        (("alpha", "crossing", "violation", "delta"),
+         ([alpha], [crossing], [viol], [rep.delta])),
     ]
 
 
@@ -644,8 +635,8 @@ def _run_sobolev(sc: Scenario, scale: float):
     c2 = None if t is None else float(emb.constant)
     rows.append((float(s), t, float(c1), c2))
     return checks, [
-        (("s", "t", "c1", "c2"), rows),
-        (("lhs", "rhs", "slack"), [(emb.lhs, emb.rhs, emb.slack)]),
+        (("s", "t", "c1", "c2"), tuple(zip(*rows))),
+        (("lhs", "rhs", "slack"), ([emb.lhs], [emb.rhs], [emb.slack])),
     ]
 
 
@@ -684,7 +675,7 @@ def _run_sweep(sc: Scenario, scale: float):
     ]
     header = ("a", "diameter_deficit", "delta", "lambda", "alpha",
               *(f"delta_q{_fmt(q)}" for q in params["Q"]))
-    return checks, [(header, rows)]
+    return checks, [(header, tuple(zip(*rows)))]
 
 
 # kind -> (parser, runner, suffixes of the tables written after
@@ -701,17 +692,45 @@ _KINDS = {
 }
 
 
-def _column(cells: list) -> list[str]:
-    """_fmt of each cell; an all-float column is formatted in one pass."""
-    if all(isinstance(x, float) for x in cells):  # np.float64 included
-        return [f"{x:.17g}" for x in np.asarray(cells, dtype=float).tolist()]
-    return [_fmt(x) for x in cells]
+# rows formatted by one %-template and written per block
+_CSV_BLOCK = 4096
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    cols = [_column([row[i] for row in rows]) for i in range(len(header))]
-    lines = [",".join(header), *map(",".join, zip(*cols))]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _block(col, lo: int, hi: int) -> tuple[str, list]:
+    """Template spec and cells of col's rows lo..hi-1: floats for %.17g
+    (a float ndarray, or cells that are all floats, np.float64 included),
+    _fmt strings for %s otherwise; both give _fmt's bytes."""
+    if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+        return "%.17g", col[lo:hi].tolist()
+    cells = list(col[lo:hi])
+    if all(isinstance(x, float) for x in cells):
+        return "%.17g", cells
+    return "%s", [_fmt(x) for x in cells]
+
+
+def _write_csv(path: Path, header, columns) -> None:
+    """Write a CSV table given as one sequence of cells per header entry.
+
+    Every cell is written as _fmt writes it.  The file is opened once;
+    after the header, each block of _CSV_BLOCK rows is one %-template
+    applied to the block's cells flattened row-major, so a table costs
+    no row tuples and no string object per float cell.
+    """
+    k = len(columns)
+    n = len(columns[0]) if k else 0
+    if k != len(header) or any(len(c) != n for c in columns):
+        raise ValueError("a table needs one column of equal length "
+                         "per header entry")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, n, _CSV_BLOCK):
+            hi = min(lo + _CSV_BLOCK, n)
+            specs, flat = [], [None] * ((hi - lo) * k)
+            for i, col in enumerate(columns):
+                spec, cells = _block(col, lo, hi)
+                specs.append(spec)
+                flat[i::k] = cells
+            fh.write((",".join(specs) + "\n") * (hi - lo) % tuple(flat))
 
 
 def _env_scale() -> float:
@@ -739,8 +758,8 @@ def _execute(sc: Scenario, scale: float, out_dir: Path) -> RunRecord:
         error = f"{type(exc).__name__}: {' '.join(str(exc).split())}"
     wall = time.perf_counter() - start
     written = []
-    for fname, (header, rows) in zip(_table_files(sc), tables):
-        _write_csv(out_dir / fname, header, rows)
+    for fname, (header, columns) in zip(_table_files(sc), tables):
+        _write_csv(out_dir / fname, header, columns)
         written.append(fname)
     rec = RunRecord(sc.name, sc.kind, sc.params, tuple(checks),
                     tuple(written), wall, error)

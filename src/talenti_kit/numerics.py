@@ -314,6 +314,8 @@ def generalized_inverse(m, s: float) -> float:
 
 # Newton rounds the table inverse may spend before NonConvergence.
 _NEWTON_ROUNDS = 100
+# live points the table inverse solves at a time
+_INVERSE_BLOCK = 8192
 # cosine grid intervals of every table's base; each is split into two cells
 _TABLE_CELLS = 64
 # points at 2**-k, k = 1.._END_GRADES, of the way to each endpoint that
@@ -368,7 +370,8 @@ class MonotoneTable:
     outermost nodes: a Kronrod sum of a power law there loses relative
     accuracy that every later entry would inherit.  A first cell that
     fits no such law, and the last cell, integrate one Kronrod panel
-    over the remainder instead.  The inverse runs a vectorized
+    over the remainder instead.  The inverse runs, _INVERSE_BLOCK
+    points at a time, a vectorized
     guarded Newton iteration inside the bracketing cell on the same
     sums, with the density as the derivative.  Each point starts from a
     power-law guess fitted to its cell, exact when the cell cumulative
@@ -456,8 +459,11 @@ class MonotoneTable:
         clipped = np.clip(arr, 0.0, self.total)
         out = np.where(clipped >= self.total, self.length, clipped)
         live = np.flatnonzero((clipped > 0.0) & (clipped < self.total))
-        if live.size:
-            out[live] = self._solve(clipped[live])
+        # Newton settles each point on its own, so solving in blocks
+        # bounds the working arrays without changing a bit of the output
+        for lo in range(0, live.size, _INVERSE_BLOCK):
+            block = live[lo:lo + _INVERSE_BLOCK]
+            out[block] = self._solve(clipped[block])
         return out if np.ndim(v) else float(out[0])
 
     def _solve(self, target: np.ndarray) -> np.ndarray:

@@ -799,7 +799,42 @@ class TestRankCorrelation:
 
 
 class TestWriteCsv:
+    """A table is one sequence of cells per header entry; the bytes are
+    those of _fmt applied cell by cell, whichever template a block
+    takes."""
+
+    MIXED = (None, "s", 7, np.int64(-8), 0.1, math.inf, -math.inf,
+             math.nan, 0.0, -0.0, 2**60)
+
+    @staticmethod
+    def _reference(header, columns) -> bytes:
+        lines = [",".join(header)]
+        lines += [",".join(cli._fmt(x) for x in row) for row in zip(*columns)]
+        return ("\n".join(lines) + "\n").encode("utf-8")
+
+    def _check(self, path, header, columns):
+        cli._write_csv(path, header, columns)
+        assert path.read_bytes() == self._reference(header, columns)
+
     def test_bytes_match_per_cell_reference(self, tmp_path):
+        block = cli._CSV_BLOCK
+        n = 2 * block + 3
+        rng = np.random.default_rng(7)
+        floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        floats[[0, block - 1, block, n - 1]] = (-0.0, math.nan, math.inf,
+                                                -math.inf)
+        mixed = [float(x) for x in rng.standard_normal(n)]
+        # the mixed cells straddle the first block boundary; the second
+        # block ends in np.float64 cells and the last block is all floats
+        k = len(self.MIXED)
+        mixed[block - k // 2:block - k // 2 + k] = self.MIXED
+        mixed[2 * block - 2:2 * block] = [np.float64(1.0 / 3.0),
+                                          np.float64(-0.0)]
+        header = ("x", "mixed")
+        self._check(tmp_path / "blocks.csv", header, (floats, mixed))
+        self._check(tmp_path / "empty.csv", header, (np.empty(0), []))
+
+    def test_mixed_types_in_every_column(self, tmp_path):
         rows = [
             (None, "a", 1, np.int64(2), 0.1, np.float64(1.0 / 3.0), 1, -0.0),
             ("x", None, -3, np.int64(-4), math.inf, np.float64(math.nan),
@@ -809,10 +844,42 @@ class TestWriteCsv:
              np.int64(9), np.float64(-0.0)),
         ]
         header = [f"c{i}" for i in range(len(rows[0]))]
-        for name, table in (("mixed", rows), ("empty", [])):
-            path = tmp_path / f"{name}.csv"
-            cli._write_csv(path, header, table)
-            lines = [",".join(header)]
-            lines += [",".join(cli._fmt(x) for x in row) for row in table]
-            want = ("\n".join(lines) + "\n").encode("utf-8")
-            assert path.read_bytes() == want
+        self._check(tmp_path / "mixed.csv", header, tuple(zip(*rows)))
+
+    def test_ragged_table_raises(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli._write_csv(tmp_path / "short.csv", ("a", "b"), ([1.0, 2.0],))
+        with pytest.raises(ValueError):
+            cli._write_csv(tmp_path / "ragged.csv", ("a", "b"),
+                           ([1.0, 2.0], [3.0]))
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(),
+                    reason="needs VmHWM from /proc/self/status")
+class TestMemory:
+    def test_large_model_probe_stays_small(self, tmp_path):
+        # VmHWM, not ru_maxrss: a child process inherits its parent's
+        # ru_maxrss across exec, and pytest's own high-water mark would
+        # hide the growth
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import sys\n"
+            "from talenti_kit import cli\n"
+            "def hwm():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        line, = (x for x in fh if x.startswith('VmHWM:'))\n"
+            "    return int(line.split()[1]) / 1024.0\n"
+            "text = '[big]\\nkind = model-probe\\nK = 2\\nN = 3\\n"
+            "n = 150000\\n'\n"
+            "scenarios = cli.parse_scenarios_text(text, 'memory')\n"
+            "before = hwm()\n"
+            "rec, = cli.run_scenarios(scenarios, sys.argv[1])\n"
+            "print(rec.passed, hwm() - before)\n")
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                             env=env, capture_output=True, text=True,
+                             check=True)
+        passed, grown = out.stdout.split()
+        assert passed == "True"
+        assert (tmp_path / "big.csv").stat().st_size > 150000 * 3 * 17
+        assert float(grown) < 32.0, f"VmHWM grew by {grown} MB"

@@ -201,6 +201,22 @@ class TestMonotoneTable:
         back = table.cumulative(ts[2:])
         assert np.max(np.abs(back - vs[2:]) / vs[2:]) < 1e-12
 
+    def test_inverse_in_blocks_is_per_point(self, monkeypatch):
+        # Newton settles each point on its own, so the block a point
+        # lands in cannot change its bits: a permuted batch and one
+        # single block give the same abscissas
+        n = 3 * numerics._INVERSE_BLOCK + 17
+        rng = np.random.default_rng(3)
+        vs = self.table.total * rng.random(n)
+        vs[:2] = (0.0, self.table.total)
+        perm = rng.permutation(n)
+        ts = self.table.inverse(vs)
+        shuffled = np.empty(n)
+        shuffled[perm] = self.table.inverse(vs[perm])
+        assert ts.tobytes() == shuffled.tobytes()
+        monkeypatch.setattr(numerics, "_INVERSE_BLOCK", n)
+        assert self.table.inverse(vs).tobytes() == ts.tobytes()
+
     def test_inverse_round_budget_raises(self, monkeypatch):
         monkeypatch.setattr(numerics, "_NEWTON_ROUNDS", 1)
         with pytest.raises(NonConvergence):
