@@ -28,13 +28,17 @@ check passed; budgets scale with the optional per-scenario
 ``tol_scale`` key and with the ``TALENTI_SEED_TOL`` environment
 variable.  ``talenti-kit suite NAME`` runs a built-in scenario pack
 (``talenti-kit list`` prints the names), ``--jobs N`` runs scenarios
-in parallel threads, ``--out DIR`` picks the output folder.
+in parallel threads, ``--out DIR`` picks the output folder.  Of the
+kinds, only ``eigen``, ``holder`` and ``stability-sweep``
+(``scipy.integrate``) and ``poisson`` (``scipy.interpolate``) need
+scipy, and parsing a scenario imports the subpackage its kind needs.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import importlib
 import math
 import os
 import re
@@ -43,6 +47,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -324,7 +329,7 @@ def _table_files(sc: Scenario) -> list[str]:
     """CSV file names of a scenario, in the order its runner returns
     the tables."""
     return [f"{sc.name}{sfx}.csv"
-            for sfx in ("", *_KINDS[sc.kind][2])]
+            for sfx in ("", *_KINDS[sc.kind].suffixes)]
 
 
 def _parse_scenario(name: str, kv: dict) -> Scenario:
@@ -342,11 +347,14 @@ def _parse_scenario(name: str, kv: dict) -> Scenario:
     scale = 1.0 if raw is None else _num(name, "tol_scale", raw,
                                          lambda x: x > 0.0,
                                          "must be positive")
-    params = _KINDS[kind][0](name, kv)
+    params = _KINDS[kind].parse(name, kv)
     if kv:
         key = sorted(kv)[0]
         raise ParseError(f"[{name}] {key}: unknown key for kind {kind}")
     params["tol_scale"] = scale
+    if _KINDS[kind].scipy:
+        # here on the main thread, not in the first run's wall time
+        importlib.import_module(_KINDS[kind].scipy)
     return Scenario(name, kind, params)
 
 
@@ -678,17 +686,30 @@ def _run_sweep(sc: Scenario, scale: float):
     return checks, [(header, tuple(zip(*rows)))]
 
 
-# kind -> (parser, runner, suffixes of the tables written after
-# <name>.csv, in the order the runner returns them)
+class _Kind(NamedTuple):
+    """A scenario kind: its parser, its runner, the suffixes of the
+    tables written after <name>.csv in the order the runner returns
+    them, and the scipy subpackage the runner loads, if any."""
+
+    parse: Callable
+    run: Callable
+    suffixes: tuple[str, ...] = ()
+    scipy: str | None = None
+
+
 _KINDS = {
-    "model-probe": (_parse_model_probe, _run_model_probe, ()),
-    "symmetrize": (_parse_symmetrize, _run_symmetrize, ()),
-    "poisson": (_parse_poisson, _run_poisson, ()),
-    "talenti": (_parse_talenti, _run_talenti, ()),
-    "eigen": (_parse_shifted, _run_eigen, ("-spectrum",)),
-    "holder": (_parse_holder, _run_holder, ("-chiti",)),
-    "sobolev": (_parse_sobolev, _run_sobolev, ("-check",)),
-    "stability-sweep": (_parse_sweep, _run_sweep, ()),
+    "model-probe": _Kind(_parse_model_probe, _run_model_probe),
+    "symmetrize": _Kind(_parse_symmetrize, _run_symmetrize),
+    "poisson": _Kind(_parse_poisson, _run_poisson,
+                     scipy="scipy.interpolate"),
+    "talenti": _Kind(_parse_talenti, _run_talenti),
+    "eigen": _Kind(_parse_shifted, _run_eigen, ("-spectrum",),
+                   "scipy.integrate"),
+    "holder": _Kind(_parse_holder, _run_holder, ("-chiti",),
+                    "scipy.integrate"),
+    "sobolev": _Kind(_parse_sobolev, _run_sobolev, ("-check",)),
+    "stability-sweep": _Kind(_parse_sweep, _run_sweep,
+                             scipy="scipy.integrate"),
 }
 
 
@@ -752,7 +773,7 @@ def _execute(sc: Scenario, scale: float, out_dir: Path) -> RunRecord:
     start = time.perf_counter()
     checks, tables, error = [], [], ""
     try:
-        run = _KINDS[sc.kind][1]
+        run = _KINDS[sc.kind].run
         checks, tables = run(sc, scale * sc.params["tol_scale"])
     except Exception as exc:  # library refusals become recorded failures
         error = f"{type(exc).__name__}: {' '.join(str(exc).split())}"

@@ -42,9 +42,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.sparse import diags
-from scipy.sparse.linalg import eigsh, splu
 
 from . import numerics
 from .errors import (
@@ -64,6 +61,12 @@ _ATOL = (1e-14, 1e-18)
 _NORM_TOL = numerics.Tolerance(rel=1e-11, abs=1e-15)
 # solve_ivp solves one eigenvalue search may make
 _SHOOTING_SOLVES = 100
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first solve."""
+    from scipy.integrate import solve_ivp as ivp
+    return ivp(*args, **kwargs)
 
 
 @dataclass
@@ -546,89 +549,3 @@ def stability_deficits(u: EigenPair, z: EigenPair, p: float,
     if any(t <= p - 1.0 + 1e-12 for t in ts):
         raise InvalidParameter("every exponent in Q must lie strictly above p-1")
     return tuple(_deficits(p, *_norms(u, z, (p - 1.0, *ts)), ts))
-
-
-def rayleigh_fem(space: WeightedInterval, v: float, p: float) -> float:
-    """Independent eigenvalue estimate from piecewise-linear elements.
-
-    Uniform cells with exact per-cell masses from the cumulative table;
-    for p = 2 the generalized tridiagonal eigenproblem, otherwise
-    Rayleigh-quotient descent with Armijo backtracking seeded by the
-    p = 2 eigenvector.  The raw gradient is preconditioned by the p = 2
-    stiffness matrix (gradient descent in the energy metric); without it
-    the 1/h^2 stiffness spectrum forces micro-steps and the quotient
-    creeps.  Cross-check only: first-order elements carry an O(h^2)
-    bias, far above the shooting accuracy.
-    """
-    if not (p > 1.0 and math.isfinite(p)):
-        raise InvalidParameter(f"exponent p={p} must exceed 1")
-    if not (0.0 < v < 1.0 and math.isfinite(v)):
-        raise InvalidMass(f"mass fraction v={v} must lie in (0, 1)")
-    n = 2048  # uniform cells; free nodes 0..n-1, node n pinned to zero
-    r_v = float(space.inverse_cumulative(v * space.total))
-    nodes = np.linspace(0.0, r_v, n + 1)
-    wc = np.diff(np.asarray(space.cumulative(nodes), dtype=float))
-    h = r_v / n
-
-    diag_k = np.empty(n)
-    diag_k[0] = wc[0]
-    diag_k[1:] = wc[:-1] + wc[1:]
-    off_k = -wc[:-1]
-    K = diags([off_k, diag_k, off_k], (-1, 0, 1), format="csc") / h ** 2
-    diag_m = np.empty(n)
-    diag_m[0] = wc[0] / 3.0
-    diag_m[1:] = (wc[:-1] + wc[1:]) / 3.0
-    off_m = wc[:-1] / 6.0
-    M = diags([off_m, diag_m, off_m], (-1, 0, 1), format="csc")
-    vals, vecs = eigsh(K, k=1, M=M, sigma=0.0, which="LM")
-    if p == 2.0:
-        return float(vals[0])
-
-    lu = splu(K)
-    ml = np.empty(n)
-    ml[0] = wc[0] / 2.0
-    ml[1:] = (wc[:-1] + wc[1:]) / 2.0
-    zf = np.abs(vecs[:, 0])
-    zf /= float(np.max(zf))
-
-    def quotient(zv):
-        g = (np.append(zv[1:], 0.0) - zv) / h
-        num = float(wc @ np.abs(g) ** p)
-        den = float(ml @ np.abs(zv) ** p)
-        return num, den, g
-
-    num, den, g = quotient(zf)
-    R = num / den
-    step, stall = 1.0, 0
-    for _ in range(800):
-        flux = wc * power_signed(g, p - 1.0) / h
-        dnum = p * (np.concatenate(([0.0], flux[:-1])) - flux)
-        dden = p * ml * power_signed(zf, p - 1.0)
-        grad = (dnum - R * dden) / den
-        direction = lu.solve(grad)
-        slope = float(grad @ direction)
-        if slope <= 0.0:
-            break
-        accepted = False
-        while step > 1e-16:
-            trial = zf - step * direction
-            num_t, den_t, _ = quotient(trial)
-            if den_t > 0.0 and num_t / den_t <= R - 1e-4 * step * slope:
-                zf = trial / float(np.max(np.abs(trial)))
-                num, den, g = quotient(zf)
-                r_new = num / den
-                step *= 1.3
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        if R - r_new <= 1e-13 * max(R, 1.0):
-            stall += 1
-            if stall >= 10:
-                R = r_new
-                break
-        else:
-            stall = 0
-        R = r_new
-    return float(R)

@@ -396,7 +396,10 @@ class MonotoneTable:
             # cell straddles them; cells stay spectrally accurate
             if np.any(pins <= 0.0) or np.any(pins >= self.length):
                 raise InvalidParameter("knots must lie strictly inside (0, length)")
-            base = np.unique(np.concatenate([base, pins]))
+            # np.unique's sort-and-compare, without its np.ma.is_masked
+            # test, which would import numpy.ma inside a first scenario
+            base = np.sort(np.concatenate([base, pins]))
+            base = base[np.concatenate([[True], base[1:] != base[:-1]])]
         fine = np.empty(2 * base.size - 1)
         fine[0::2] = base
         fine[1::2] = 0.5 * (base[:-1] + base[1:])

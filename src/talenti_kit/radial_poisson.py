@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import numerics
 from .errors import (
@@ -204,6 +203,8 @@ def solve_mass_form(prob: RadialProblem,
     interval's own perimeter profile.  Used as the independent route
     for agreement checks against solve_explicit.
     """
+    from scipy.interpolate import PchipInterpolator
+
     tol = numerics.Tolerance(rel=1e-9, abs=1e-13)
     expo = 1.0 / (prob.p - 1.0)
     space = prob.space

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import numerics
 from .errors import InvalidParameter, NonConvergence
@@ -142,12 +141,24 @@ class _Head:
                 + self.kappa2 * _power_piece(lo, self.xi0, self.e2))
 
 
+def _log_mass_leg(model: ModelSpace, a: float, b: float):
+    """y -> xi^a / I(xi)^b dxi/dy at xi = e^y, the integrand in
+    log-mass coordinates."""
+
+    def leg(y):
+        xi = np.exp(np.asarray(y, dtype=float))
+        prof = np.asarray(model.isoperimetric_profile(xi), dtype=float)
+        return xi ** (a + 1.0) / prof**b
+
+    return leg
+
+
 class _ProfileTail:
     """Vectorized x -> integral_x^v xi^a / I(xi)^b dxi for one parameter set.
 
-    The exact integrand is tabulated on a log-mass grid and integrated by
-    a monotone cubic antiderivative; below xi0 the closed-form expansion
-    head takes over.
+    The exact integrand is tabulated in log-mass coordinates by a
+    MonotoneTable over [0, log v - log xi0]; below xi0 the closed-form
+    expansion head takes over.
     """
 
     def __init__(self, model: ModelSpace, v: float, a: float, b: float,
@@ -155,16 +166,15 @@ class _ProfileTail:
         self.v = float(v)
         self.head = _Head(model, v, b, float(e1))
         self.xi0 = self.head.xi0
-        y = np.linspace(math.log(self.xi0), math.log(self.v), 8193)
-        xi = np.exp(y)
-        prof = np.asarray(model.isoperimetric_profile(xi), dtype=float)
-        self._anti = PchipInterpolator(y, xi ** (a + 1.0) / prof**b).antiderivative()
-        self.exact_leg = float(self._anti(float(y[-1])))
+        self._y0 = y0 = math.log(self.xi0)
+        leg = _log_mass_leg(model, a, b)
+        self._table = numerics.MonotoneTable(lambda y: leg(y0 + y),
+                                             math.log(self.v) - y0)
 
     def __call__(self, x):
         arr = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.log(np.clip(arr, self.xi0, self.v))
-        out = self.exact_leg - np.asarray(self._anti(y), dtype=float)
+        y = np.log(np.clip(arr, self.xi0, self.v)) - self._y0
+        out = self._table.total - self._table.cumulative(y)
         low = arr < self.xi0
         if np.any(low):
             out[low] += self.head.above(arr[low])
@@ -192,14 +202,8 @@ def c1_constant(K: float, N: float, v: float,
     a = (1.0 - inv_s) / (p - 1.0)
     b = p / (p - 1.0)
     head = _Head(model, v, b, gap / (p - 1.0))
-
-    def leg(y):
-        xi = np.exp(np.asarray(y, dtype=float))
-        prof = np.asarray(model.isoperimetric_profile(xi), dtype=float)
-        return xi ** (a + 1.0) / prof**b
-
-    return head.total() + numerics.integrate(leg, math.log(head.xi0),
-                                             math.log(v))
+    return head.total() + numerics.integrate(_log_mass_leg(model, a, b),
+                                             math.log(head.xi0), math.log(v))
 
 
 def c2_constant(K: float, N: float, v: float, p: float, s: float,

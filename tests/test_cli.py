@@ -9,6 +9,7 @@ the numbers themselves are pinned by the library test files.
 """
 
 import configparser
+import json
 import math
 import os
 import subprocess
@@ -744,7 +745,7 @@ class TestExitCodes:
             raise RuntimeError("synthetic kernel failure")
 
         monkeypatch.setitem(cli._KINDS, "model-probe",
-                            (cli._parse_model_probe, boom, ()))
+                            cli._KINDS["model-probe"]._replace(run=boom))
         ini = tmp_path / "t.ini"
         ini.write_text(TINY)
         out = tmp_path / "o"
@@ -756,15 +757,80 @@ class TestExitCodes:
         assert block["status"] == "fail"
 
 
+def _fresh(code: str, *args: str) -> str:
+    """Standard output of code run by a fresh interpreter on the kit."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("TALENTI_SEED_TOL", None)
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
+# one small scenario per kind, each on the kind's widest path: caps,
+# step sources jumping inside the domain, the c2 route of sobolev
+KIND_CASES = {
+    "model-probe": "K = 2\nN = 3\nn = 9",
+    "symmetrize": "K = 2\nN = 3\nv = 0.4\nf = twolevel 2 0.5 0.3",
+    "poisson": "K = 2\nN = 3\np = 2\nv = 0.4\na = 0.3\n"
+               "f = twolevel 2 0.5 0.25",
+    "talenti": "K = 2\nN = 3\np = 2\nv = 0.4\na = 0.3\n"
+               "f = twolevel 2 0.5 0.25\nn = 256",
+    "eigen": "K = 2\nN = 3\np = 2\nv = 0.4\na = 0.3",
+    "holder": "K = 2\nN = 3\np = 2\nv = 0.4\na = 0.2",
+    "sobolev": "K = 2\nN = 3\np = 2\nv = 0.4\nf = twolevel 2 0.5 0.25\n"
+               "s = 1.2\nt = 2",
+    "stability-sweep": "K = 2\nN = 3\np = 2\nv = 0.4\na_list = 0.1 0.3",
+}
+
+
+def _case(kind: str) -> str:
+    return f"[case]\nkind = {kind}\n{KIND_CASES[kind]}\n"
+
+
+# a fresh interpreter parses argv[1], runs it into argv[2] and prints
+# the record's error, the scipy and numpy.ma modules the run imported,
+# and whether any scipy module is loaded at the end
+_PARSE_THEN_RUN = """
+import json, sys
+from talenti_kit import cli
+scenarios = cli.parse_scenarios_text(sys.argv[1], "kind")
+before = set(sys.modules)
+rec, = cli.run_scenarios(scenarios, sys.argv[2])
+late = [m for m in set(sys.modules) - before
+        if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"]]
+scipy = any(m.split(".")[0] == "scipy" for m in sys.modules)
+print(json.dumps([rec.error, sorted(late), scipy]))
+"""
+
+
 class TestImportCost:
-    def test_cli_import_leaves_scipy_stats_out(self):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        code = ("import sys, talenti_kit.cli; "
-                "print('scipy.stats' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+    def test_kit_modules_import_no_scipy(self):
+        code = ("import importlib, pkgutil, sys, talenti_kit\n"
+                "for m in pkgutil.iter_modules(talenti_kit.__path__):\n"
+                "    importlib.import_module('talenti_kit.' + m.name)\n"
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        assert _fresh(code) == "[]"
+
+    @pytest.mark.parametrize("kind", sorted(cli._KINDS))
+    def test_parse_loads_what_the_run_needs(self, kind, tmp_path):
+        # the kind's scipy subpackage loads at parse time, on the main
+        # thread; the run itself imports no scipy and no numpy.ma
+        error, late, scipy = json.loads(
+            _fresh(_PARSE_THEN_RUN, _case(kind), str(tmp_path)))
+        assert error == ""
+        assert late == []
+        assert scipy == (cli._KINDS[kind].scipy is not None)
+
+    def test_talenti_runs_with_scipy_blocked(self, tmp_path):
+        code = ("import sys\n"
+                "sys.modules['scipy'] = None\n"
+                "from talenti_kit import cli\n"
+                "rec, = cli.run_scenarios(cli.parse_scenarios_text("
+                "sys.argv[1], 'case'), sys.argv[2])\n"
+                "print(rec.passed, rec.error)")
+        assert _fresh(code, _case("talenti"), str(tmp_path)) == "True"
 
 
 class TestRankCorrelation:
