@@ -170,8 +170,8 @@ class SourceSpec:
         if self.form == "twolevel" and self.values[2] < r1:
             h1, h2, split = self.values
             m1 = float(space.cumulative(split))
-            return StepFunction((m1, ball), (h1, h2, 0.0), side="left")
-        return StepFunction((ball,), (self.values[0], 0.0), side="left")
+            return StepFunction((m1, ball), (h1, h2, 0.0))
+        return StepFunction((ball,), (self.values[0], 0.0))
 
 
 def _parse_source(name: str, raw: str) -> SourceSpec:

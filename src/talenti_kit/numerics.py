@@ -1,6 +1,6 @@
 """Shared numerical kernels.
 
-Everything downstream leans on three primitives that live here:
+Everything downstream leans on two primitives that live here:
 
 * ``integrate``: adaptive Gauss-Kronrod quadrature on a finite interval.
   Panels are bisected by worst-error-first priority.  A panel that keeps
@@ -9,10 +9,6 @@ Everything downstream leans on three primitives that live here:
   annulus contributions as a geometric series and either sums the tail in
   closed form (integrable power singularities such as ``t**-0.5``) or
   declares ``Divergence`` when the annuli refuse to decay.
-
-* ``generalized_inverse``: the right inverse ``inf {t : m(t) < s}`` of a
-  nonincreasing right-continuous step function, evaluated exactly from
-  the step representation.
 
 * ``MonotoneTable``: a tabulated cumulative of a positive density on
   ``[0, L]``.  Its grid is a coarse cosine base whose end intervals are
@@ -283,33 +279,6 @@ def integrate(f, a: float, b: float, tol: Tolerance | None = None) -> float:
         heap_val += v1 + v2
         heap_err += e1 + e2
     raise NonConvergence("quadrature panel budget exhausted")
-
-
-def generalized_inverse(m, s: float) -> float:
-    """inf { t >= 0 : m(t) < s } for a nonincreasing step function m.
-
-    m exposes ``breakpoints`` (ascending jump abscissas) and ``levels``
-    (one more entry than breakpoints; value on each interval).  At s = 0
-    the essential-supremum convention applies: the largest abscissa where
-    m first reaches zero is returned.
-    """
-    if s < 0.0:
-        raise InvalidParameter("generalized inverse needs s >= 0")
-    bp = np.asarray(m.breakpoints, dtype=float)
-    lv = np.asarray(m.levels, dtype=float)
-    if lv.size != bp.size + 1:
-        raise InvalidParameter("step function needs len(levels) == len(breakpoints)+1")
-    if s == 0.0:
-        hits = np.nonzero(lv <= 0.0)[0]
-        if hits.size == 0:
-            return math.inf
-        i = int(hits[0])
-        return 0.0 if i == 0 else float(bp[i - 1])
-    # first level strictly below s; levels are nonincreasing
-    i = int(np.searchsorted(-lv, -s, side="right"))
-    if i >= lv.size:
-        return math.inf
-    return 0.0 if i == 0 else float(bp[i - 1])
 
 
 # Newton rounds the table inverse may spend before NonConvergence.

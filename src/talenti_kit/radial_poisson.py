@@ -83,10 +83,6 @@ class RadialProblem:
         return tuple(k for k in self.f_knots if 0.0 < k < self.r1)
 
     @property
-    def q(self) -> float:
-        return self.p / (self.p - 1.0)
-
-    @property
     def mass(self) -> float:
         return float(self.space.cumulative(self.r1))
 

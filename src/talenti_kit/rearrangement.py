@@ -1,4 +1,4 @@
-"""Distribution functions, decreasing rearrangements and symmetrization.
+"""Decreasing rearrangements and Schwarz symmetrization of cell data.
 
 Functions enter as finite lists of cells (measure, value).  Atomic data
 is rearranged exactly by sorting; grid-sampled data carries the usual
@@ -42,8 +42,10 @@ class SampledFunction:
         v = np.asarray(self.values, dtype=float)
         if m.shape != v.shape or m.ndim != 1 or m.size == 0:
             raise InvalidParameter("cells need matching 1-D measure/value arrays")
-        if np.any(m < 0.0):
-            raise MeasureOutOfRange("cell measures must be nonnegative")
+        if not np.all(np.isfinite(m) & (m >= 0.0)):
+            raise MeasureOutOfRange("cell measures must be finite and nonnegative")
+        if not np.all(np.isfinite(v)):
+            raise InvalidParameter("cell values must be finite")
         if float(m.sum()) > 1.0 + _MEASURE_SLACK:
             raise MeasureOutOfRange("total cell measure exceeds the ambient mass 1")
         if self.kind not in ("atomic", "sampled"):
@@ -58,33 +60,31 @@ class SampledFunction:
 
 @dataclass(frozen=True)
 class StepFunction:
-    """Piecewise constant function with k jumps and k+1 levels.
+    """Left-continuous piecewise constant function, k jumps and k+1 levels.
 
-    side="right" evaluates right-continuously (distribution functions),
-    side="left" evaluates left-continuously (decreasing rearrangements).
-    Level i applies between breakpoints i-1 and i; the final level
-    applies beyond the last breakpoint.
+    Level i applies on (breakpoint i-1, breakpoint i], so the value at a
+    jump is the level on its left; the final level applies beyond the
+    last breakpoint.
     """
 
     breakpoints: np.ndarray
     levels: np.ndarray
-    side: str = "right"
 
     def __post_init__(self) -> None:
         bp = np.asarray(self.breakpoints, dtype=float)
         lv = np.asarray(self.levels, dtype=float)
         if lv.size != bp.size + 1:
             raise InvalidParameter("need len(levels) == len(breakpoints) + 1")
+        if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(lv))):
+            raise InvalidParameter("breakpoints and levels must be finite")
         if bp.size and not np.all(np.diff(bp) > 0.0):
             raise InvalidParameter("breakpoints must be strictly increasing")
-        if self.side not in ("left", "right"):
-            raise InvalidParameter(f"unknown continuity side {self.side!r}")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "levels", lv)
 
     def __call__(self, x):
         arr = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = np.searchsorted(self.breakpoints, arr, side=self.side)
+        idx = np.searchsorted(self.breakpoints, arr, side="left")
         out = self.levels[idx]
         return out if np.ndim(x) else float(out[0])
 
@@ -118,7 +118,6 @@ class SymmetrizedFunction:
     model: ModelSpace
     r_v: float
     profile: StepFunction
-    total: float
 
     def __call__(self, x):
         return self.profile(self.model.cumulative(x))
@@ -128,53 +127,27 @@ class SymmetrizedFunction:
         return self.model.inverse_cumulative(self.profile.breakpoints)
 
 
-def _grouped_desc(u: SampledFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct |values| in decreasing order with aggregated measures."""
-    av = np.abs(u.values)
-    keep = u.measures > 0.0
-    vals, inv = np.unique(av[keep], return_inverse=True)
-    mass = np.zeros(vals.size)
-    np.add.at(mass, inv, u.measures[keep])
-    return vals[::-1], mass[::-1]
-
-
-def distribution(u: SampledFunction) -> StepFunction:
-    """mu(t) = measure of {|u| > t}, right-continuous and nonincreasing."""
-    vals, mass = _grouped_desc(u)
-    pos = vals > 0.0
-    vals, mass = vals[pos], mass[pos]
-    if vals.size == 0:
-        return StepFunction(np.array([]), np.array([0.0]), side="right")
-    # level above threshold t in [b_{i-1}, b_i) is the mass at values >= b_i
-    suffix = np.cumsum(mass)               # mass of {|u| >= vals[i]} descending
-    levels = np.concatenate([suffix[::-1], [0.0]])
-    return StepFunction(vals[::-1], levels, side="right")
-
-
 def decreasing_rearrangement(u: SampledFunction) -> StepFunction:
     """u^sharp on [0, total mass]: same distribution, nonincreasing.
 
     Left-continuous; u^sharp(0) is the essential supremum of |u| and the
     value is zero beyond the mass actually carried by nonzero values.
+    Equal values merge into one level carrying their summed measure.
     """
-    vals, mass = _grouped_desc(u)
-    pos = vals > 0.0
-    vals, mass = vals[pos], mass[pos]
-    if vals.size == 0:
-        return StepFunction(np.array([]), np.array([0.0]), side="left")
-    cuts = np.cumsum(mass)
-    levels = np.concatenate([vals, [0.0]])
-    return StepFunction(cuts, levels, side="left")
+    av = np.abs(u.values)
+    keep = (u.measures > 0.0) & (av > 0.0)
+    vals, inv = np.unique(av[keep], return_inverse=True)
+    mass = np.zeros(vals.size)
+    np.add.at(mass, inv, u.measures[keep])
+    return StepFunction(np.cumsum(mass[::-1]),
+                        np.concatenate([vals[::-1], [0.0]]))
 
 
 def schwarz_symmetrize(u: SampledFunction, model: ModelSpace) -> SymmetrizedFunction:
     """Symmetric decreasing representative of u on the model segment."""
-    total = u.total_measure
-    if total > 1.0 + _MEASURE_SLACK:
-        raise MeasureOutOfRange("sampled mass exceeds the model total mass")
-    r_v = model.inverse_cumulative(min(total, 1.0))
+    r_v = model.inverse_cumulative(min(u.total_measure, 1.0))
     return SymmetrizedFunction(model=model, r_v=r_v,
-                               profile=decreasing_rearrangement(u), total=total)
+                               profile=decreasing_rearrangement(u))
 
 
 def _step_lp(step: StepFunction, p: float) -> float:
@@ -221,43 +194,6 @@ def lp_norm(obj, p: float) -> float:
     if isinstance(obj, SymmetrizedFunction):
         return _symmetrized_lp(obj, p)
     raise InvalidParameter(f"no L^p norm for objects of type {type(obj)!r}")
-
-
-def hardy_littlewood_check(u: SampledFunction, cell_indices) -> tuple[float, float]:
-    """(lhs, rhs) of the rearrangement bound for E = union of given cells.
-
-    lhs integrates u over E; rhs integrates the decreasing rearrangement
-    over [0, measure(E)].  lhs <= rhs always; equality holds for
-    nonnegative u exactly when E collects the largest values first.
-    """
-    idx = np.asarray(cell_indices, dtype=int)
-    if idx.size != np.unique(idx).size:
-        raise InvalidParameter("cell indices must be distinct")
-    if idx.size and (idx.min() < 0 or idx.max() >= u.values.size):
-        raise InvalidParameter("cell index out of range")
-    lhs = float(np.sum(u.measures[idx] * u.values[idx]))
-    rhs = decreasing_rearrangement(u).integral(float(np.sum(u.measures[idx])))
-    return lhs, rhs
-
-
-def monotone_compose_check(u: SampledFunction, phi) -> float:
-    """sup |(phi(|u|))^sharp - phi(u^sharp)| over a probe grid.
-
-    phi must be strictly increasing and continuous; the two step
-    functions then coincide, so the return value is numerical noise for
-    atomic data.
-    """
-    av = np.abs(u.values)
-    composed = SampledFunction(u.measures, np.asarray(phi(av), dtype=float),
-                               kind=u.kind)
-    lhs = decreasing_rearrangement(composed)
-    base = decreasing_rearrangement(u)
-    total = u.total_measure
-    probes = np.linspace(0.0, total, 257)
-    probes = np.unique(np.concatenate([probes, lhs.breakpoints, base.breakpoints]))
-    probes = probes[(probes >= 0.0) & (probes <= total)]
-    rhs_vals = np.asarray(phi(base(probes)), dtype=float)
-    return float(np.max(np.abs(lhs(probes) - rhs_vals)))
 
 
 def sample_on_cells(fn, cumulative, r1: float, n_cells: int) -> SampledFunction:

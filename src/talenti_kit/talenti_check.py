@@ -5,8 +5,18 @@ Given a weighted interval carrying a curvature-dimension tag, solve
 space by decreasing rearrangement, solve the model problem with the
 rearranged datum, and certify the orderings that symmetrization
 predicts: u* <= w pointwise, gradient norms dominated for every
-exponent r in [1, p], and the per-level inequality chain (isoperimetry
-applied to superlevel sets) staying on the correct side of 1.
+exponent r in [1, p], and the Levy-Gromov ratio h(rho_t)/I(mu_t) of
+every superlevel set [0, rho_t) of mass mu_t at or above 1, with h the
+instance density and I the model profile.
+
+The paper's per-level chain needs no check of its own.  On a weighted
+interval, -mu'(t) = h(rho_t)/|u'(rho_t)| and |u'| = (M/h)^{1/(p-1)}
+with M the source mass of [0, rho_t), so each chain entry
+-mu' F(mu)^{1/(p-1)} / I(mu)^{p/(p-1)} is exactly
+(h/I)^{p/(p-1)} (F(mu)/M)^{1/(p-1)}: the Levy-Gromov ratio times the
+Hardy-Littlewood ratio of F, the running integral of the rearranged
+source, to M, and F >= M.  tests/test_talenti_check.py checks this
+identity in closed form.
 
 Shifted caps are the workhorse nontrivial instances: truncating the
 model density at a positive offset keeps the curvature criterion exact
@@ -149,23 +159,6 @@ class ComparisonReport:
     sharpness_gap: float
     sup_u: float
     origin_gap: float
-
-    def gradient_ok(self, slack: float = 1e-8) -> bool:
-        return all(lhs <= rhs + slack for lhs, rhs in
-                   self.gradient_gaps.values())
-
-
-@dataclass
-class ChainTrace:
-    """Per-level right-hand sides of the isoperimetric chain."""
-
-    levels: np.ndarray
-    mass: np.ndarray
-    entries: np.ndarray
-
-    @property
-    def min_entry(self) -> float:
-        return float(np.min(self.entries))
 
 
 def _rearranged_source(inst: ProblemInstance):
@@ -342,38 +335,3 @@ def levy_gromov_radial(inst: ProblemInstance, u: RadialSolution,
     if ratios.size == 0:
         raise DegenerateLevel("no level produced a finite perimeter ratio")
     return float(np.min(ratios))
-
-
-def chain_inequality_trace(inst: ProblemInstance,
-                           u: RadialSolution) -> ChainTrace:
-    """Per-level check that -mu'(t) dominates the isoperimetric bound.
-
-    For each level t, the entry is
-        -mu'(t) * F(mu(t))^{1/(p-1)} / I(mu(t))^{p/(p-1)}
-    with mu the distribution function of u, F the running integral of
-    the rearranged source and I the model profile; every entry must be
-    >= 1 up to the finite-difference budget.  The top 1% of levels is
-    excluded, where mu' degenerates.
-    """
-    sup_u = float(u.w_at(0.0))
-    if not (sup_u > 0.0):
-        raise InvalidParameter("solution has no positive levels to trace")
-    _, step, _ = _rearranged_source(inst)
-    F_at = _source_cumulative(inst, u, step)
-
-    top = 0.99 * sup_u
-    levels = np.linspace(top / 256, top, 256)
-    # mu behaves like (sup - t)^{3/2} at the top, so the difference step
-    # must shrink with the distance from sup to keep the bias flat
-    delta = np.minimum(1e-4 * sup_u, 1.5e-3 * (sup_u - levels))
-    mu_of = lambda t: np.asarray(
-        inst.space.cumulative(_radius_of_level(u, t)), dtype=float)
-    mu = mu_of(levels)
-    dmu = (mu_of(levels + delta) - mu_of(levels - delta)) / (2.0 * delta)
-
-    q = 1.0 / (inst.p - 1.0)
-    F = np.asarray(F_at(mu), dtype=float)
-    I = np.asarray(inst.model.isoperimetric_profile(mu), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        entries = (-dmu) * F ** q / I ** (q + 1.0)
-    return ChainTrace(levels=levels, mass=mu, entries=entries)

@@ -1,4 +1,4 @@
-"""Quadrature, root finding and generalized-inverse kernels.
+"""Quadrature, grid and monotone-table kernels.
 
 Expected values were frozen from closed forms or 30-digit mpmath
 evaluations so the kernels are never compared against themselves.
@@ -25,17 +25,8 @@ from talenti_kit.numerics import (
     MonotoneTable,
     Tolerance,
     cosine_grid,
-    generalized_inverse,
     integrate,
 )
-
-
-class Step:
-    """Minimal right-continuous nonincreasing step function."""
-
-    def __init__(self, breakpoints, levels):
-        self.breakpoints = np.asarray(breakpoints, dtype=float)
-        self.levels = np.asarray(levels, dtype=float)
 
 
 class TestIntegrate:
@@ -88,46 +79,6 @@ class TestIntegrate:
         whole = integrate(f, 0.0, 1.0)
         parts = integrate(f, 0.0, split) + integrate(f, split, 1.0)
         assert abs(whole - parts) <= 2.0 * DEFAULT_TOL.abs + 1e-11 * abs(whole)
-
-
-class TestGeneralizedInverse:
-    def setup_method(self):
-        # 1 on [0,1), 0.3 on [1,2), 0 beyond
-        self.m = Step([1.0, 2.0], [1.0, 0.3, 0.0])
-
-    def test_mid_level(self):
-        assert generalized_inverse(self.m, 0.5) == 1.0
-
-    def test_level_hit_exactly(self):
-        assert generalized_inverse(self.m, 0.3) == 2.0
-
-    def test_ess_sup_convention_at_zero(self):
-        assert generalized_inverse(self.m, 0.0) == 2.0
-
-    def test_above_total_gives_zero(self):
-        assert generalized_inverse(self.m, 1.5) == 0.0
-
-    def test_negative_s_rejected(self):
-        with pytest.raises(InvalidParameter):
-            generalized_inverse(self.m, -0.1)
-
-    def test_never_vanishing_level(self):
-        m = Step([1.0], [2.0, 0.5])
-        assert generalized_inverse(m, 0.25) == math.inf
-        assert generalized_inverse(m, 0.0) == math.inf
-
-    @given(st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=1, max_size=8))
-    @settings(max_examples=60, deadline=None)
-    def test_nonincreasing_and_left_continuous(self, drops):
-        # build a strictly decreasing staircase hitting zero
-        bps = np.cumsum(np.abs(drops)) / 2.0
-        lvs = np.concatenate([np.sort(np.abs(drops))[::-1], [0.0]])
-        lvs = np.maximum.accumulate(lvs[::-1])[::-1]  # enforce nonincreasing
-        m = Step(bps, lvs)
-        svals = np.linspace(0.0, float(lvs[0]) * 1.1, 37)
-        out = [generalized_inverse(m, s) for s in svals]
-        finite = [o for o in out if math.isfinite(o)]
-        assert all(x >= y for x, y in zip(finite, finite[1:]))
 
 
 class TestGrid:

@@ -93,7 +93,7 @@ class TestFrozenValues:
 class TestMassFormAgreement:
     def test_p2_constant_source(self, model23, half_ball_p2):
         prob, sol = half_ball_p2
-        fsharp = StepFunction([prob.mass], [1.0, 0.0], side="left")
+        fsharp = StepFunction([prob.mass], [1.0, 0.0])
         alt = solve_mass_form(prob, fsharp)
         gap = np.max(np.abs(np.asarray(sol.w_at(alt.grid)) - alt.w))
         assert gap <= 1e-8
@@ -109,7 +109,7 @@ class TestMassFormAgreement:
         edges = cosine_grid(0.0, prob.mass, 4096)
         mids = model23.inverse_cumulative(0.5 * (edges[:-1] + edges[1:]))
         fs = StepFunction(edges[1:],
-                          np.concatenate([f(mids), [0.0]]), side="left")
+                          np.concatenate([f(mids), [0.0]]))
         alt = solve_mass_form(prob, fs)
         gap = np.max(np.abs(np.asarray(sol.w_at(alt.grid)) - alt.w))
         assert gap <= 5e-7  # step discretization of f dominates here
@@ -125,7 +125,7 @@ class TestMassFormAgreement:
         prob = RadialProblem(cap, 2.0, ONES, r1)
         sol = solve_explicit(prob)
         assert sol.w_at(0.0) == pytest.approx(0.348404624505566404, abs=1e-9)
-        fsharp = StepFunction([prob.mass], [1.0, 0.0], side="left")
+        fsharp = StepFunction([prob.mass], [1.0, 0.0])
         alt = solve_mass_form(prob, fsharp)
         gap = np.max(np.abs(np.asarray(sol.w_at(alt.grid)) - alt.w))
         assert gap <= 1e-8
@@ -223,7 +223,7 @@ class TestGradientNorms:
     def test_frozen_values_and_mass_identity(self, half_ball_p2):
         prob, sol = half_ball_p2
         frozen = {1.0: 0.233544138606828819, 1.5: 0.168614645470245615, 2.0: 0.125}
-        fsharp = StepFunction([prob.mass], [1.0, 0.0], side="left")
+        fsharp = StepFunction([prob.mass], [1.0, 0.0])
         for r, expect in frozen.items():
             phys = gradient_norm(sol, prob, r)
             assert phys == pytest.approx(expect, rel=1e-9)
@@ -233,7 +233,7 @@ class TestGradientNorms:
     @pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan, 0.0])
     def test_exponent_must_be_positive_and_finite(self, half_ball_p2, r):
         prob, sol = half_ball_p2
-        fsharp = StepFunction([prob.mass], [1.0, 0.0], side="left")
+        fsharp = StepFunction([prob.mass], [1.0, 0.0])
         with pytest.raises(InvalidParameter, match="positive and finite"):
             gradient_norm(sol, prob, r)
         with pytest.raises(InvalidParameter, match="positive and finite"):
@@ -242,7 +242,7 @@ class TestGradientNorms:
     def test_mass_identity_p3(self, model23):
         prob = RadialProblem(model23, 3.0, ONES, math.pi / 2.0)
         sol = solve_explicit(prob)
-        fsharp = StepFunction([prob.mass], [1.0, 0.0], side="left")
+        fsharp = StepFunction([prob.mass], [1.0, 0.0])
         for r in [1.0, 2.0, 3.0]:
             phys = gradient_norm(sol, prob, r)
             mass = gradient_norm_mass(prob, fsharp, r)

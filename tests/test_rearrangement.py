@@ -1,5 +1,6 @@
-"""Rearrangement machinery: exactness on atomic cells, grid tolerance on
-sampled cells, and the dual route through the generalized inverse."""
+"""Rearrangement machinery: exactness on atomic cells and grid tolerance
+on sampled cells, checked against the definitions of the distribution
+function and of the Hardy-Littlewood inequality."""
 
 from __future__ import annotations
 
@@ -12,15 +13,11 @@ from hypothesis import strategies as st
 
 from talenti_kit.errors import InvalidParameter, MeasureOutOfRange
 from talenti_kit.model_space import ModelSpace
-from talenti_kit.numerics import generalized_inverse
 from talenti_kit.rearrangement import (
     SampledFunction,
     StepFunction,
     decreasing_rearrangement,
-    distribution,
-    hardy_littlewood_check,
     lp_norm,
-    monotone_compose_check,
     sample_on_cells,
     schwarz_symmetrize,
 )
@@ -35,6 +32,11 @@ def two_cell():
     return SampledFunction(np.array([0.3, 0.7]), np.array([2.0, 1.0]))
 
 
+def mass_above(u, t):
+    """mu(t) = measure of {|u| > t}, from the definition."""
+    return float(np.sum(u.measures[np.abs(u.values) > t]))
+
+
 # strategy: random atomic cell data with ambient mass <= 1
 cells = st.integers(min_value=1, max_value=12).flatmap(
     lambda n: st.tuples(
@@ -46,14 +48,6 @@ cells = st.integers(min_value=1, max_value=12).flatmap(
 
 
 class TestTwoCellAnchor:
-    def test_distribution_steps(self):
-        mu = distribution(two_cell())
-        assert np.array_equal(mu.breakpoints, [1.0, 2.0])
-        assert np.array_equal(mu.levels, [1.0, 0.3, 0.0])
-        assert mu(0.0) == 1.0 and mu(0.5) == 1.0
-        assert mu(1.0) == 0.3  # right-continuous at the jump
-        assert mu(2.0) == 0.0
-
     def test_rearrangement_steps(self):
         sharp = decreasing_rearrangement(two_cell())
         assert np.array_equal(sharp.breakpoints, [0.3, 1.0])
@@ -70,13 +64,16 @@ class TestTwoCellAnchor:
         assert lp_norm(u, math.inf) == 2.0
 
     def test_hardy_littlewood_top_cell_equality(self):
-        lhs, rhs = hardy_littlewood_check(two_cell(), [0])
-        assert lhs == pytest.approx(0.6, abs=1e-15)
+        # E = cell 0: the integral of u over E against u^sharp on [0, m(E)]
+        u = two_cell()
+        assert u.measures[0] * u.values[0] == pytest.approx(0.6, abs=1e-15)
+        rhs = decreasing_rearrangement(u).integral(u.measures[0])
         assert rhs == pytest.approx(0.6, abs=1e-15)
 
     def test_hardy_littlewood_bottom_cell_strict(self):
-        lhs, rhs = hardy_littlewood_check(two_cell(), [1])
-        assert lhs == pytest.approx(0.7, abs=1e-15)
+        u = two_cell()
+        assert u.measures[1] * u.values[1] == pytest.approx(0.7, abs=1e-15)
+        rhs = decreasing_rearrangement(u).integral(u.measures[1])
         assert rhs == pytest.approx(1.0, abs=1e-15)
 
 
@@ -97,25 +94,45 @@ class TestValidation:
         with pytest.raises(InvalidParameter):
             lp_norm(two_cell(), 0.5)
 
-    def test_duplicate_hl_indices(self):
+    def test_nonfinite_measure_rejected(self):
+        with pytest.raises(MeasureOutOfRange):
+            SampledFunction(np.array([math.nan, 0.5]), np.array([2.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_values_rejected(self, bad):
+        # a NaN cell used to drop out of the rearrangement with its mass
         with pytest.raises(InvalidParameter):
-            hardy_littlewood_check(two_cell(), [0, 0])
+            SampledFunction(np.array([0.5, 0.5]), np.array([bad, 1.0]))
+
+    @pytest.mark.parametrize("bp, lv", [
+        ([math.nan], [1.0, 0.0]), ([math.inf], [1.0, 0.0]),
+        ([1.0], [math.nan, 0.0]), ([1.0], [1.0, math.inf]),
+    ], ids=["nan-breakpoint", "inf-breakpoint", "nan-level", "inf-level"])
+    def test_nonfinite_step_rejected(self, bp, lv):
+        with pytest.raises(InvalidParameter):
+            StepFunction(np.array(bp), np.array(lv))
 
 
 class TestProperties:
     @given(u=cells)
     @settings(max_examples=80, deadline=None)
     def test_equimeasurable(self, u):
-        mu = distribution(u)
         sharp = decreasing_rearrangement(u)
+        if sharp.breakpoints.size == 0:
+            assert mass_above(u, 0.0) == 0.0
+            return
         # rebuild cells from the rearrangement and compare distributions
         widths = np.diff(np.concatenate([[0.0], sharp.breakpoints]))
-        if widths.size == 0:
-            return
         rebuilt = SampledFunction(widths, sharp.levels[:-1])
-        mu2 = distribution(rebuilt)
-        probes = np.concatenate([mu.breakpoints, mu.breakpoints * 0.5, [0.0]])
-        assert np.allclose(mu(probes), mu2(probes), atol=1e-12)
+        av = np.abs(u.values)
+        for t in np.concatenate([av, 0.5 * av, [0.0]]):
+            assert mass_above(rebuilt, t) == pytest.approx(
+                mass_above(u, t), abs=1e-12)
+        # nonincreasing and left-continuous, so fixed by its distribution
+        assert np.all(np.diff(sharp.levels) < 0.0)
+        assert np.array_equal(sharp(sharp.breakpoints), sharp.levels[:-1])
+        after = np.nextafter(sharp.breakpoints, math.inf)
+        assert np.array_equal(sharp(after), sharp.levels[1:])
 
     @given(u=cells, p=st.sampled_from([1.0, 2.0, 3.5, math.inf]))
     @settings(max_examples=80, deadline=None)
@@ -131,7 +148,10 @@ class TestProperties:
                                     unique=True, min_size=0, max_size=n))
         if not subset:
             return
-        lhs, rhs = hardy_littlewood_check(u, subset)
+        idx = np.array(subset)
+        lhs = float(np.sum(u.measures[idx] * u.values[idx]))
+        sharp = decreasing_rearrangement(u)
+        rhs = sharp.integral(float(np.sum(u.measures[idx])))
         assert lhs <= rhs + 1e-12
 
     @given(u=cells)
@@ -142,24 +162,21 @@ class TestProperties:
         w = SampledFunction(u.measures, v)
         order = np.argsort(-v)
         top = order[: max(1, v.size // 2)]
-        lhs, rhs = hardy_littlewood_check(w, top)
+        lhs = float(np.sum(w.measures[top] * w.values[top]))
+        sharp = decreasing_rearrangement(w)
+        rhs = sharp.integral(float(np.sum(w.measures[top])))
         assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-13)
-
-    @given(u=cells)
-    @settings(max_examples=60, deadline=None)
-    def test_rearrangement_matches_generalized_inverse(self, u):
-        mu = distribution(u)
-        sharp = decreasing_rearrangement(u)
-        total = u.total_measure
-        for s in np.linspace(0.0, total * 0.999, 17):
-            gi = generalized_inverse(mu, float(s))
-            assert gi == pytest.approx(sharp(float(s)), abs=1e-13)
 
     @given(u=cells)
     @settings(max_examples=40, deadline=None)
     def test_monotone_compose_exact_for_atomic(self, u):
-        gap = monotone_compose_check(u, lambda x: np.arctan(x) + 0.5 * x)
-        assert gap <= 1e-12
+        # (phi(|u|))^sharp = phi(u^sharp) for strictly increasing phi
+        phi = lambda x: np.arctan(x) + 0.5 * x
+        base = decreasing_rearrangement(u)
+        composed = decreasing_rearrangement(
+            SampledFunction(u.measures, phi(np.abs(u.values))))
+        assert np.array_equal(composed.breakpoints, base.breakpoints)
+        assert np.array_equal(composed.levels, phi(base.levels))
 
 
 class TestSymmetrize:
@@ -178,11 +195,11 @@ class TestSymmetrize:
     def test_level_set_masses_match(self, ms23):
         u = two_cell()
         star = schwarz_symmetrize(u, ms23)
-        mu = distribution(u)
         for t in [0.0, 0.5, 1.0, 1.5]:
             # {u* > t} is the ball [0, x_t); recover its mass from the radius
-            radius = ms23.inverse_cumulative(min(mu(t), 1.0))
-            assert ms23.cumulative(radius) == pytest.approx(mu(t), abs=1e-11)
+            mu = mass_above(u, t)
+            radius = ms23.inverse_cumulative(min(mu, 1.0))
+            assert ms23.cumulative(radius) == pytest.approx(mu, abs=1e-11)
             inside = star(radius * 0.999) if radius > 0 else math.inf
             assert inside > t or radius == 0.0
 

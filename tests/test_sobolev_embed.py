@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from talenti_kit import sobolev_embed as se
 from talenti_kit.errors import InvalidParameter, NonConvergence
 from talenti_kit.radial_poisson import (
     RadialProblem,
