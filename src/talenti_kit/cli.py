@@ -458,10 +458,13 @@ def _run_model_probe(sc: Scenario, scale: float):
     radii = np.asarray(model.inverse_cumulative(vs), dtype=float)
     prof = np.asarray(model.density(radii), dtype=float)
     mirror = np.asarray(model.isoperimetric_profile(1.0 - vs), dtype=float)
-    # the table mass before ModelSpace.cumulative divides it out
-    total = float(WeightedInterval.cumulative(model, model.L))
+    # exact mass of the normalized density: the closed form of
+    # int_0^L sin(t * sqrt(K/(N-1)))**(N-1) dt over the quadrature c
+    K, N = model.K, model.N
+    exact = math.sqrt(math.pi * (N - 1.0) / K) * math.exp(
+        math.lgamma(0.5 * N) - math.lgamma(0.5 * (N + 1.0)))
     checks = [
-        _check("unit-mass", 1e-9 * scale - abs(total - 1.0)),
+        _check("unit-mass", 1e-9 * scale - abs(exact / model.c - 1.0)),
         _check("profile-symmetry",
                1e-8 * scale - float(np.max(np.abs(prof - mirror)))),
         _check("profile-positive", float(np.min(prof))),
@@ -473,7 +476,7 @@ def _run_model_probe(sc: Scenario, scale: float):
 def _run_symmetrize(sc: Scenario, scale: float):
     spec = sc.params["f"]
     ival = model_for(sc.params["K"], sc.params["N"])
-    r1 = float(ival.inverse_cumulative(sc.params["v"] * ival.total))
+    r1 = float(ival.inverse_cumulative(sc.params["v"]))
     u = sample_on_cells(spec, ival.cumulative, r1,
                         n_cells=sc.params["n"])
     step = decreasing_rearrangement(u)
@@ -501,7 +504,7 @@ def _solve(params: dict):
     """Space, domain radius, radial problem and its explicit solution."""
     spec = params["f"]
     space = _space_for(params)
-    r1 = float(space.inverse_cumulative(params["v"] * space.total))
+    r1 = float(space.inverse_cumulative(params["v"]))
     prob = RadialProblem(space=space, p=params["p"], f=spec, r1=r1,
                          f_knots=spec.knots)
     return space, r1, prob, solve_explicit(prob)
@@ -624,7 +627,7 @@ def _run_sobolev(sc: Scenario, scale: float):
     s, t = params["s"], params.get("t")
     space, r1, prob, sol = _solve(params)
     emb = check_embedding(prob, sol, s, t)
-    vm = float(space.cumulative(r1)) / space.total
+    vm = float(space.cumulative(r1))
     crit = N / p
     consts = [embedding_constants(K, N, vm, p, si, t)
               for si in (crit * (1.0 - 1e-3), crit, crit * (1.0 + 1e-3),

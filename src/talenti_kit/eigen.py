@@ -243,17 +243,18 @@ def first_eigenpair(space: WeightedInterval, v: float, p: float,
                     seed: float | None = None) -> EigenPair:
     """Shooting solve for the first Dirichlet eigenpair at mass fraction v.
 
-    v is the fraction of the total mass, so the answer is invariant
-    under rescaling the density by a constant.  seed is where the
-    shooting secant starts, (pi / (2 r_v))**p by default; callers
-    holding a nearby eigenvalue (model comparisons, parameter sweeps)
-    pass it and save solves.
+    v is the mass of the domain; a constant multiple of the density
+    builds the same unit-mass space, so the answer is invariant under
+    rescaling the density by construction.  seed is where the shooting
+    secant starts, (pi / (2 r_v))**p by default; callers holding a
+    nearby eigenvalue (model comparisons, parameter sweeps) pass it and
+    save solves.
     """
     if not (p > 1.0 and math.isfinite(p)):
         raise InvalidParameter(f"exponent p={p} must exceed 1")
     if not (0.0 < v < 1.0 and math.isfinite(v)):
         raise InvalidMass(f"mass fraction v={v} must lie in (0, 1)")
-    r_v = float(space.inverse_cumulative(v * space.total))
+    r_v = float(space.inverse_cumulative(v))
     probes = np.linspace(0.0, r_v, 258)[1:]
     if np.any(np.asarray(space.density(probes), dtype=float) <= 0.0):
         raise InvalidParameter("density must stay positive on (0, r_v]")
@@ -413,18 +414,14 @@ def lp_norm(pair: EigenPair, t: float) -> float:
 
 
 def _check_pair(u: EigenPair, z: EigenPair, p: float) -> None:
-    """Instance u and model z solve the p-Laplacian on unit-mass spaces,
-    the setting every norm comparison below assumes."""
+    """Instance u and model z solve the p-Laplacian at the same p; both
+    live on unit-mass spaces by construction, the setting every norm
+    comparison below assumes."""
     if not (p > 1.0 and math.isfinite(p)):
         raise InvalidParameter(f"exponent p={p} must exceed 1")
     if abs(u.p - p) > 1e-12 or abs(z.p - p) > 1e-12:
         raise InvalidParameter(
             f"eigenpairs solve p={u.p} and p={z.p}, not p={p}")
-    for pair, who in ((u, "instance"), (z, "model")):
-        if abs(pair.space.total - 1.0) > 1e-8:
-            raise InvalidParameter(
-                f"{who} eigenpair must live on a unit-mass space (total = "
-                f"{pair.space.total:.6g}); norm comparisons assume it")
 
 
 def _norms(u: EigenPair, z: EigenPair, ts) -> tuple[dict, dict]:
@@ -458,8 +455,7 @@ def chiti_compare(u: EigenPair, z: EigenPair, r: float,
 
     Hm = z.space.cumulative
     inv = u.space.inverse_cumulative
-    vmass = u.v * u.space.total
-    s = np.minimum(np.asarray(Hm(x), dtype=float), vmass)
+    s = np.minimum(np.asarray(Hm(x), dtype=float), u.v)
     ustar = np.asarray(u.sol.w_at(inv(s)), dtype=float)
     ztil = c * np.asarray(z.sol.w_at(x), dtype=float)
     d = ustar - ztil

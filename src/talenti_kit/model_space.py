@@ -12,8 +12,8 @@ rest of the kit symmetrizes against: I(v) is the sharp lower bound for
 the perimeter of a set of mass v in any space with the same curvature
 and dimension bounds.
 
-The model is a WeightedInterval, the positive density on a segment with
-tabulated cumulative mass that every solver takes; shifted caps are
+The model is a WeightedInterval, the probability space on a segment
+that every solver takes, normalized by construction; shifted caps are
 plain instances of the same type, whose density is the same sine_power
 cut at an offset.
 """
@@ -31,7 +31,11 @@ from .errors import InvalidParameter, OutOfDomain
 
 
 class WeightedInterval:
-    """Positive density on [0, length] with tabulated cumulative mass.
+    """Probability density on [0, length] with tabulated cumulative mass.
+
+    The given density is divided by its integral c, and the cumulative
+    by its table total, so total is 1.0, cumulative(length) == 1.0
+    exactly, and any constant multiple of a density builds one space.
 
     cd carries an optional curvature-dimension tag (K, N); densities
     built from shifted model profiles satisfy the one-dimensional
@@ -39,22 +43,27 @@ class WeightedInterval:
     cd_violation estimates by second differences.
     """
 
+    total = 1.0
+
     def __init__(self, density: Callable, length: float,
                  cd: tuple[float, float] | None = None) -> None:
-        self._density = density
         self.length = float(length)
         self.cd = cd
-        self._table = numerics.MonotoneTable(density, length)
-        self.total = self._table.total
+        self.c = c = numerics.integrate(density, 0.0, self.length)
+        if not (c > 0.0 and math.isfinite(c)):
+            raise InvalidParameter(f"density mass {c} must be positive")
+        # a plain function, so the table holds no cycle back to the space
+        self._density = lambda t: density(t) / c
+        self._table = numerics.MonotoneTable(self._density, self.length)
 
     def density(self, t):
         return self._density(t)
 
     def cumulative(self, t):
-        return self._table.cumulative(t)
+        return self._table.cumulative(t) / self._table.total
 
     def inverse_cumulative(self, v):
-        return self._table.inverse(v)
+        return self._table.inverse(np.multiply(v, self._table.total))
 
     def profile(self, s):
         """Perimeter of the sublevel interval holding mass s."""
@@ -127,10 +136,10 @@ class ModelConstants:
 
 
 class ModelSpace(WeightedInterval):
-    """The model segment: closed-form density, normalized cumulative.
+    """The model segment: sine_power on [0, L], its density guarded.
 
-    The cumulative is divided by the table total, so H(L) == 1.0 exactly
-    and total is 1.0; the profile is the inherited I(v) = h(H^{-1}(v)).
+    model-probe checks the quadrature c against its closed form; the
+    profile is the inherited I(v) = h(H^{-1}(v)).
     """
 
     def __init__(self, K: float, N: float) -> None:
@@ -138,9 +147,7 @@ class ModelSpace(WeightedInterval):
         self.K = float(K)
         self.N = float(N)
         self._raw, self.L = sine_power(self.K, self.N)
-        self.c = numerics.integrate(self._raw, 0.0, self.L)
-        super().__init__(self.density, self.L, cd=(self.K, self.N))
-        self.total = 1.0
+        super().__init__(self._raw, self.L, cd=(self.K, self.N))
 
     def __repr__(self) -> str:
         return f"ModelSpace(K={self.K}, N={self.N}, L={self.L:.6g})"
@@ -158,20 +165,6 @@ class ModelSpace(WeightedInterval):
             raise OutOfDomain(f"density argument outside [0, {self.L}]")
         out = self._raw(np.clip(arr, 0.0, self.L)) / self.c
         return out if np.ndim(t) else float(out[0])
-
-    def cumulative(self, t):
-        """Mass H(t) of [0, t], normalized so that H(L) = 1."""
-        out = np.asarray(self._table.cumulative(t)) / self._table.total
-        out = np.clip(out, 0.0, 1.0)
-        return out if np.ndim(t) else float(out)
-
-    def inverse_cumulative(self, v):
-        """Radius enclosing mass v; inverse of cumulative on [0, 1]."""
-        arr = np.atleast_1d(np.asarray(v, dtype=float))
-        if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
-            raise OutOfDomain("mass fraction outside [0, 1]")
-        out = self._table.inverse(np.clip(arr, 0.0, 1.0) * self._table.total)
-        return out if np.ndim(v) else float(out[0])
 
     isoperimetric_profile = WeightedInterval.profile
 

@@ -365,10 +365,11 @@ class MonotoneTable:
             # cell straddles them; cells stay spectrally accurate
             if np.any(pins <= 0.0) or np.any(pins >= self.length):
                 raise InvalidParameter("knots must lie strictly inside (0, length)")
-            # np.unique's sort-and-compare, without its np.ma.is_masked
-            # test, which would import numpy.ma inside a first scenario
+            # keep a point only if its midpoint with the left neighbour
+            # lies strictly inside: a pin an ulp off a node makes no cell
             base = np.sort(np.concatenate([base, pins]))
-            base = base[np.concatenate([[True], base[1:] != base[:-1]])]
+            mid = 0.5 * (base[:-1] + base[1:])
+            base = base[np.r_[True, (base[:-1] < mid) & (mid < base[1:])]]
         fine = np.empty(2 * base.size - 1)
         fine[0::2] = base
         fine[1::2] = 0.5 * (base[:-1] + base[1:])

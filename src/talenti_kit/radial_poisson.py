@@ -193,8 +193,9 @@ def solve_mass_form(prob: RadialProblem,
                     fsharp: StepFunction) -> RadialSolution:
     """The same solution evaluated through mass coordinates.
 
-    fsharp is the decreasing rearrangement of the source; the solution
-    at radius rho is the integral over masses above W(rho) of
+    fsharp is the source in mass coordinates, f(W^{-1}(s)), which is its
+    decreasing rearrangement when f is nonincreasing; the solution at
+    radius rho is the integral over masses above W(rho) of
     (1/I) * (F/I)^{1/(p-1)} with F the cumulative of fsharp and I the
     interval's own perimeter profile.  Used as the independent route
     for agreement checks against solve_explicit.
@@ -237,10 +238,11 @@ def weak_residual(sol: RadialSolution, prob: RadialProblem) -> float:
     an O(1) perturbation scores above 1e-3.
 
     The hats' supports tile [0, r1] by the 33 cells of a cosine grid:
-    the flux and the density are integrated once per cell, and hat j
-    reads its two halves from cells j - 1 and j.  The body term
-    int phi^p dm is integrated over each half on its own, so no
-    quadrature panel straddles the hat's kink at its peak.
+    the flux is integrated once per cell, the cell masses are differences
+    of the space's cumulative, and hat j reads its two halves from cells
+    j - 1 and j.  The body term int phi^p dm is integrated over each half
+    on its own, so no quadrature panel straddles the hat's kink at its
+    peak.
     """
     p = prob.p
     n_test = 32
@@ -250,7 +252,7 @@ def weak_residual(sol: RadialSolution, prob: RadialProblem) -> float:
     cells = list(zip(knots[:-1], knots[1:]))
     flux = lambda t: power_signed(sol.wprime_at(t), p - 1.0) * density(t)
     flux_in = [numerics.integrate(flux, a, b, qtol) for a, b in cells]
-    mass_in = [numerics.integrate(density, a, b, qtol) for a, b in cells]
+    mass_in = np.diff(prob.space.cumulative(knots))
     worst = 0.0
     for j in range(1, n_test + 1):
         xl, xc, xr = knots[j - 1], knots[j], knots[j + 1]
@@ -292,10 +294,10 @@ def gradient_norm_mass(prob: RadialProblem, fsharp: StepFunction,
                        r: float) -> float:
     """Mass-coordinate evaluation of the same gradient integral.
 
-    Change of variables turns int |w'|^r dm into
-    int_0^{mass} (F(s)/I(s))^{r/(p-1)} ds; agreement with gradient_norm
-    is the standing identity check for all solved problems with
-    nonincreasing data.
+    With fsharp and F as in solve_mass_form, change of variables turns
+    int |w'|^r dm into int_0^{mass} (F(s)/I(s))^{r/(p-1)} ds for any
+    source, monotone or not; agreement with gradient_norm is the
+    standing identity check for all solved problems with step data.
     """
     check_exponent("gradient norm exponent r", r)
     expo = r / (prob.p - 1.0)

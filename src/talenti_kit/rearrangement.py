@@ -132,15 +132,17 @@ def decreasing_rearrangement(u: SampledFunction) -> StepFunction:
 
     Left-continuous; u^sharp(0) is the essential supremum of |u| and the
     value is zero beyond the mass actually carried by nonzero values.
-    Equal values merge into one level carrying their summed measure.
+    Equal values merge into one level carrying their summed measure; a
+    level lost in the running sum of the larger ones has no width.
     """
     av = np.abs(u.values)
     keep = (u.measures > 0.0) & (av > 0.0)
     vals, inv = np.unique(av[keep], return_inverse=True)
     mass = np.zeros(vals.size)
     np.add.at(mass, inv, u.measures[keep])
-    return StepFunction(np.cumsum(mass[::-1]),
-                        np.concatenate([vals[::-1], [0.0]]))
+    cuts = np.cumsum(mass[::-1])
+    wide = np.diff(cuts, prepend=0.0) > 0.0
+    return StepFunction(cuts[wide], np.append(vals[::-1][wide], 0.0))
 
 
 def schwarz_symmetrize(u: SampledFunction, model: ModelSpace) -> SymmetrizedFunction:

@@ -310,13 +310,10 @@ def check_embedding(prob: RadialProblem, sol: RadialSolution, s: float,
     space = prob.space
     if space.cd is None:
         raise InvalidParameter("problem space carries no curvature-dimension tag")
-    if abs(space.total - 1.0) > 1e-8:
-        raise InvalidParameter(
-            "embedding constants assume unit total mass; renormalize the space")
     if t is not None:
         check_exponent("norm exponent t", t)
     K, N = space.cd
-    v = float(space.cumulative(prob.r1)) / space.total
+    v = float(space.cumulative(prob.r1))
     if not (0.0 < v < 1.0):
         raise InvalidParameter(
             f"domain mass v={v} must be a proper fraction of the space")

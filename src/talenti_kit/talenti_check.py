@@ -72,7 +72,7 @@ def model_for(K: float, N: float) -> ModelSpace:
 
 def make_shifted_cap(K: float, N: float, shift: float,
                      v: float | None = None) -> WeightedInterval:
-    """Model density truncated at a positive offset, renormalized.
+    """Model density truncated at a positive offset, as a unit-mass space.
 
     The density sine_power(K, N, shift) on [0, L - shift] inherits the
     curvature criterion from the model exactly; shift = 0 gives the
@@ -85,13 +85,11 @@ def make_shifted_cap(K: float, N: float, shift: float,
     if not (0.0 <= shift < 0.5 * L and math.isfinite(shift)):
         raise InvalidShift(f"shift {shift} outside [0, {0.5 * L:.6g})")
     length = L - shift
-    c = numerics.integrate(raw, 0.0, length)
-    cap = WeightedInterval(lambda t: raw(t) / c, length,
-                           cd=(float(K), float(N)))
+    cap = WeightedInterval(raw, length, cd=(float(K), float(N)))
     if v is not None:
         if not (0.0 < v < 1.0):
             raise InvalidMass(f"domain mass v={v} must lie in (0, 1)")
-        r1 = float(cap.inverse_cumulative(min(v, cap.total)))
+        r1 = float(cap.inverse_cumulative(v))
         if shift + r1 >= L:
             raise InvalidShift(
                 f"shift {shift} leaves no room for a domain of mass {v}")
@@ -122,10 +120,6 @@ class ProblemInstance:
             raise InvalidParameter(f"exponent p={self.p} must exceed 1")
         if not (0.0 < self.v < 1.0):
             raise InvalidMass(f"domain mass v={self.v} must lie in (0, 1)")
-        if self.v > self.space.total:
-            raise InvalidMass(
-                f"domain mass v={self.v} exceeds the space total "
-                f"{self.space.total}")
 
     @property
     def model(self) -> ModelSpace:

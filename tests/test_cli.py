@@ -29,7 +29,7 @@ from talenti_kit.cli import (
     parse_scenarios_text,
     suite_scenarios,
 )
-from talenti_kit.model_space import WeightedInterval
+from talenti_kit.model_space import ModelSpace
 from talenti_kit.talenti_check import make_shifted_cap, model_for
 
 MIXED = """\
@@ -657,7 +657,8 @@ class TestBoundaryZero:
 
 
 class TestUnitMass:
-    """model-probe gates the model's table mass before normalization."""
+    """model-probe gates the model's quadrature normalizer c against its
+    closed form."""
 
     def _slack(self, tmp_path, monkeypatch, extra=""):
         out = run_text(tmp_path, TINY + extra, monkeypatch)
@@ -669,13 +670,16 @@ class TestUnitMass:
         word, _ = self._slack(tmp_path, monkeypatch, "tol_scale = 1e-30\n")
         assert word == "fail"
 
-    def test_slack_is_budget_minus_table_gap(self, tmp_path, monkeypatch):
+    def test_slack_is_budget_minus_closed_form_gap(self, tmp_path,
+                                                   monkeypatch):
+        # K = 2, N = 3: c = int_0^pi sin(t)**2 dt = pi/2 in closed form, so
+        # a normalizer off by 4e-10 leaves 6e-10 of the 1e-9 budget
+        off = ModelSpace(2.0, 3.0)
+        off.c = 0.5 * math.pi * (1.0 + 4e-10)
+        monkeypatch.setattr(cli, "model_for", lambda K, N: off)
         word, slack = self._slack(tmp_path, monkeypatch)
-        model = model_for(2.0, 3.0)
-        raw = float(WeightedInterval.cumulative(model, model.L))
         assert word == "pass"
-        assert raw != 1.0
-        assert slack == 1e-9 - abs(raw - 1.0)
+        assert slack == pytest.approx(6e-10, abs=1e-15)
 
 
 class TestExitCodes:

@@ -202,6 +202,36 @@ class TestOneModelObject:
         assert np.array_equal(ms23.profile(vs), ms23.isoperimetric_profile(vs))
 
 
+class TestUnitMass:
+    """Every WeightedInterval carries unit mass, whatever it is given."""
+
+    def test_model_cap_and_user_density(self):
+        from talenti_kit.model_space import WeightedInterval
+        from talenti_kit.talenti_check import make_shifted_cap, model_for
+        cap = make_shifted_cap(2.0, 3.0, 0.3)
+        user = WeightedInterval(lambda t: 3.0 * cap.density(t), cap.length,
+                                cd=cap.cd)
+        for space in (model_for(2, 3), cap, user):
+            assert space.total == 1.0
+            assert space.cumulative(space.length) == 1.0
+            assert space.inverse_cumulative(1.0) == space.length
+        # the scaled density builds the same space
+        ts = np.linspace(0.0, cap.length, 257)[1:-1]
+        vs = np.linspace(0.0, 1.0, 257)[1:-1]
+        for mine, theirs in ((user.density, cap.density),
+                             (user.cumulative, cap.cumulative)):
+            assert np.max(np.abs(mine(ts) / theirs(ts) - 1.0)) <= 1e-15
+        back = cap.cumulative(user.inverse_cumulative(vs))
+        assert np.max(np.abs(back / vs - 1.0)) <= 1e-15
+
+    @pytest.mark.parametrize("level", [0.0, -1.0])
+    def test_density_without_positive_mass_rejected(self, level):
+        from talenti_kit.model_space import WeightedInterval
+        with pytest.raises(InvalidParameter):
+            WeightedInterval(lambda t: np.full_like(t, level, dtype=float),
+                             1.0)
+
+
 def _ulps(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b)))

@@ -249,6 +249,17 @@ class TestGradedTable:
         exact = ts ** (alpha + 1.0) / (alpha + 1.0)
         assert np.max(np.abs(table.cumulative(ts) - exact) / exact) <= 2e-14
 
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_pin_one_ulp_from_a_node_makes_no_empty_cell(self, side):
+        # base nodes sit at the even fine-grid positions
+        node = MonotoneTable(np.sin, math.pi)._x[40]
+        pin = float(np.nextafter(node, node + side))
+        table = MonotoneTable(np.sin, math.pi, knots=(pin,))
+        assert np.all(np.diff(table._x) > 0.0)
+        ts = np.concatenate([np.linspace(0.0, math.pi, 1001), [node, pin]])
+        err = np.max(np.abs(table.cumulative(ts) - (1.0 - np.cos(ts))))
+        assert err <= 1e-14
+
     def test_density_zero_on_the_first_cell(self):
         # no power law fits a vanishing first cell; its Kronrod sum is 0
         jump = 0.5

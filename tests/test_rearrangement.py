@@ -76,6 +76,13 @@ class TestTwoCellAnchor:
         rhs = decreasing_rearrangement(u).integral(u.measures[1])
         assert rhs == pytest.approx(1.0, abs=1e-15)
 
+    def test_level_lost_in_the_running_sum_is_dropped(self):
+        # 0.5 + 1e-20 rounds to 0.5: the smaller level has no width
+        sharp = decreasing_rearrangement(
+            SampledFunction([0.5, 1e-20], [2.0, 1.0]))
+        assert np.array_equal(sharp.breakpoints, [0.5])
+        assert np.array_equal(sharp.levels, [2.0, 0.0])
+
 
 class TestValidation:
     def test_negative_measures_rejected(self):

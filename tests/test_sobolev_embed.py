@@ -248,14 +248,19 @@ class TestCheckEmbedding:
         with pytest.raises(InvalidParameter):
             check_embedding(prob, sol, math.inf)
 
-    def test_rejects_unnormalized_space(self, model_interval):
-        model = model_for(2.0, 3.0)
-        double = WeightedInterval(lambda t: 2.0 * model.density(t),
-                                  model.L, cd=(2.0, 3.0))
-        prob = RadialProblem(space=double, p=2.0, f=ONES, r1=1.0)
-        sol = solve_explicit(prob)
-        with pytest.raises(InvalidParameter):
-            check_embedding(prob, sol, math.inf)
+    def test_doubled_density_matches_the_model(self, model_interval):
+        # a WeightedInterval normalizes what it is given: twice the model
+        # density builds the model again
+        double = WeightedInterval(lambda t: 2.0 * model_interval.density(t),
+                                  model_interval.L, cd=(2.0, 3.0))
+        checks = []
+        for space in (model_interval, double):
+            prob = RadialProblem(space=space, p=2.0, f=ONES, r1=1.0)
+            checks.append(check_embedding(prob, solve_explicit(prob), 3.0))
+        model, twice = checks
+        assert twice.constant == pytest.approx(model.constant, rel=1e-13)
+        assert twice.lhs == pytest.approx(model.lhs, rel=1e-13)
+        assert twice.rhs == pytest.approx(model.rhs, rel=1e-13)
 
     def test_rejects_bad_t(self, model_poisson):
         prob, sol = model_poisson

@@ -167,6 +167,20 @@ class TestShiftedCapComparison:
                    for lhs, rhs in rep.gradient_gaps.values())
 
 
+class TestIncreasingSmoothSource:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_model_comparison_with_source_t(self, model_interval):
+        # f(t) = t: the innermost sampled cell is lost in the running sum
+        # of the rearrangement, and jumps pinned on the model side sit
+        # within an ulp of table nodes
+        f = lambda t: np.asarray(t, dtype=float).copy()
+        rep = run_comparison(ProblemInstance(model_interval, 2.0, f, 0.5))
+        assert rep.pointwise_violation <= 1e-8
+        assert rep.levy_gromov_min_ratio >= 1.0 - 1e-8
+        assert all(lhs <= rhs + 1e-8
+                   for lhs, rhs in rep.gradient_gaps.values())
+
+
 class TestTableResolution:
     def test_origin_gap_settled_at_64_intervals(self, monkeypatch):
         # an increasing two-level source goes through the sampled
