@@ -639,12 +639,11 @@ def _run_sobolev(sc: Scenario, scale: float):
         _gate("critical-at-divergent", at),
         _gate("critical-above-finite", not above),
     ]
-    rows = [(row.s, t, float(row.c1),
-             None if row.c2 is None else float(row.c2)) for row in consts]
+    rows = [(row.s, t, row.c1, row.c2) for row in consts]
     # the row at the scenario's own s reuses the constant the check used
     c1 = emb.constant if t is None else c1_constant(K, N, vm, p, s)
-    c2 = None if t is None else float(emb.constant)
-    rows.append((float(s), t, float(c1), c2))
+    c2 = None if t is None else emb.constant
+    rows.append((float(s), t, c1, c2))
     return checks, [
         (("s", "t", "c1", "c2"), tuple(zip(*rows))),
         (("lhs", "rhs", "slack"), ([emb.lhs], [emb.rhs], [emb.slack])),

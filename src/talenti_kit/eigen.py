@@ -11,7 +11,9 @@ turns this into the first-order system
 
     z' = sign(m) |m / w|^{1/(p-1)},    m' = -lam * w * Phi_p(z),
 
-whose first zero moves continuously and strictly decreasingly with lam
+which every solve integrates from the pole itself, (z, m) = (1, -0) at
+t = 0: the flux vanishes there, and the RHS returns (0, 0) where w = 0.
+Its first zero moves continuously and strictly decreasingly with lam
 (Elbert 1979), so the eigenvalue is the unique lam placing that zero
 exactly at r_v.  The zero scales almost like lam^{-1/p}, so a secant
 on log r0 against log lam, started at the seed and kept inside the
@@ -157,32 +159,21 @@ def _rhs_factory(space: WeightedInterval, p: float, lam: float):
     return rhs
 
 
-def _series_start(space: WeightedInterval, p: float, lam: float, eps: float):
-    """Initial data at t = eps from the leading-order expansion.
-
-    Near the origin m ~ -lam*W(t) while z stays at 1, and for any
-    density behaving like a power the resulting slope integrates to
-    (p-1)/p * t * (lam*W/w)^{1/(p-1)} exactly, so the truncation error
-    is O(eps^2) relative to the distance from 1.
-    """
-    W0 = float(space.cumulative(eps))
-    w0 = float(np.atleast_1d(np.asarray(space.density(eps), dtype=float))[0])
-    z0 = 1.0 - (p - 1.0) / p * eps * (lam * W0 / w0) ** (1.0 / (p - 1.0))
-    return z0, -lam * W0
+def _shoot(space: WeightedInterval, p: float, lam: float, end: float,
+           **kwargs):
+    """DOP853 solve of the (z, m) system on [0, end] from the pole, where
+    (z, m) = (1, -0): the flux vanishes there, and z' with it."""
+    return solve_ivp(_rhs_factory(space, p, lam), (0.0, end), (1.0, -0.0),
+                     method="DOP853", rtol=1e-11, atol=_ATOL, **kwargs)
 
 
-def _first_zero(space: WeightedInterval, p: float, lam: float, eps: float,
+def _first_zero(space: WeightedInterval, p: float, lam: float,
                 horizon: float, dense: bool = False):
-    """(first zero of z in (eps, horizon] or inf, dense output or None)."""
-    z0, m0 = _series_start(space, p, lam, eps)
-    if z0 <= 0.0:
-        return eps, None
+    """(first zero of z in (0, horizon] or inf, dense output or None)."""
     ev = lambda t, y: y[0]
     ev.terminal = True
     ev.direction = -1
-    out = solve_ivp(_rhs_factory(space, p, lam), (eps, horizon), (z0, m0),
-                    method="DOP853", rtol=1e-11, atol=_ATOL, events=ev,
-                    dense_output=dense)
+    out = _shoot(space, p, lam, horizon, events=ev, dense_output=dense)
     if out.t_events[0].size:
         return float(out.t_events[0][0]), out.sol
     return math.inf, out.sol
@@ -205,12 +196,11 @@ def _shooting_lambda(space: WeightedInterval, p: float, r_v: float,
     bracket is within 5e-13 * hi or a step within 1e-14 * lam, and
     raises NonConvergence when _SHOOTING_SOLVES solves do not get there.
     """
-    eps = 1e-6 * r_v
     horizon = r_v + min(0.25 * r_v, 0.9 * (space.length - r_v))
     lo, hi = 0.0, math.inf
     lam, prev, slope = seed, None, -1.0 / p
     for _ in range(_SHOOTING_SOLVES):
-        f = math.log(_first_zero(space, p, lam, eps, horizon)[0] / r_v)
+        f = math.log(_first_zero(space, p, lam, horizon)[0] / r_v)
         if f == 0.0:
             return lam
         if f > 0.0:
@@ -246,9 +236,12 @@ def first_eigenpair(space: WeightedInterval, v: float, p: float,
     v is the mass of the domain; a constant multiple of the density
     builds the same unit-mass space, so the answer is invariant under
     rescaling the density by construction.  seed is where the shooting
-    secant starts, (pi / (2 r_v))**p by default; callers holding a
-    nearby eigenvalue (model comparisons, parameter sweeps) pass it and
-    save solves.
+    secant starts, (pi / r_v)**p by default.  For N up to about 3 that
+    lies above the eigenvalue, so its first zero falls before the
+    horizon and the secant steps at once; for larger N the search
+    doubles up to the eigenvalue first.  Callers holding a nearby
+    eigenvalue (model comparisons, parameter sweeps) pass it and save
+    solves.
     """
     if not (p > 1.0 and math.isfinite(p)):
         raise InvalidParameter(f"exponent p={p} must exceed 1")
@@ -260,22 +253,18 @@ def first_eigenpair(space: WeightedInterval, v: float, p: float,
         raise InvalidParameter("density must stay positive on (0, r_v]")
 
     if seed is None:
-        seed = (math.pi / (2.0 * r_v)) ** p
+        seed = (math.pi / r_v) ** p
     lam = _shooting_lambda(space, p, r_v, float(seed))
 
-    eps = 1e-6 * r_v
-    z0, m0 = _series_start(space, p, lam, eps)
-    out = solve_ivp(_rhs_factory(space, p, lam), (eps, r_v), (z0, m0),
-                    method="DOP853", rtol=1e-11, atol=_ATOL,
-                    dense_output=True)
+    out = _shoot(space, p, lam, r_v, dense_output=True)
     if not out.success:
         raise NonConvergence("final eigenfunction integration failed")
-    return _pair_from(space, p, lam, v, eps, r_v, out.sol)
+    return _pair_from(space, p, lam, v, r_v, out.sol)
 
 
 def _pair_from(space: WeightedInterval, p: float, lam: float, v: float,
-               eps: float, r_v: float, interp) -> EigenPair:
-    """EigenPair of the shooting solution interp (dense on [eps, r_v]);
+               r_v: float, interp) -> EigenPair:
+    """EigenPair of the shooting solution interp (dense on [0, r_v]);
     its z_at, zprime_at and mass_at read one state (z, m) on t clipped to
     [0, r_v], and z_at pins z = 0 from r_v on."""
     end = float(interp(r_v)[0])
@@ -284,8 +273,7 @@ def _pair_from(space: WeightedInterval, p: float, lam: float, v: float,
             f"shooting left a boundary mismatch z(r_v)={end:.3e}")
 
     e = 1.0 / (p - 1.0)
-    coef = (p - 1.0) / p
-    cum, dens = space.cumulative, space.density
+    dens = space.density
 
     def slope(c, m):
         # z' = sign(m) |m/w|^{1/(p-1)}; at the model's origin w = 0 and
@@ -294,19 +282,12 @@ def _pair_from(space: WeightedInterval, p: float, lam: float, v: float,
         return power_signed(m / np.where(w > 0.0, w, 1.0), e)
 
     def state(t):
-        # (clipped t, z, m): up to eps the series start, m = -lam*W and
-        # z = 1 + (p-1)/p * t * z', and interp above
+        # (clipped t, z, m); m' = -lam * w * Phi_p(z) <= 0 from m(0) = -0,
+        # so m <= -0 exactly, which keeps z'(0) = -0 where the
+        # interpolant reads +0
         c = np.clip(np.atleast_1d(np.asarray(t, dtype=float)), 0.0, r_v)
-        z, m = np.empty_like(c), np.empty_like(c)
-        small = c <= eps
-        if np.any(small):
-            a = c[small]
-            m[small] = -lam * np.asarray(cum(a), dtype=float)
-            z[small] = 1.0 + coef * a * slope(a, m[small])
-        rest = ~small
-        if np.any(rest):
-            z[rest], m[rest] = interp(c[rest])
-        return c, z, m
+        z, m = interp(c)
+        return c, z, np.where(m < 0.0, m, -0.0)
 
     def pinned(c, z):
         z[c >= r_v] = 0.0
@@ -329,7 +310,7 @@ def _pair_from(space: WeightedInterval, p: float, lam: float, v: float,
     # one state on the grid serves the negativity scan, w and wprime
     grid = numerics.cosine_grid(0.0, r_v, 2048)
     c, z, m = state(grid)
-    raw = z[(grid > eps) & (grid < r_v)]
+    raw = z[grid < r_v]
     if raw.size and float(np.min(raw)) < -1e-6:
         raise NonConvergence("eigenfunction went negative inside the domain")
     sol = RadialSolution(grid=grid, w=pinned(c, z), wprime=slope(c, m),
@@ -377,15 +358,13 @@ def alpha_from_lambda(up: EigenPair,
             or abs(up.lam - lambda_target) <= 1e-9 * lambda_target):
         return v_upper, up
 
-    r_up = up.r_alpha
-    eps = 1e-6 * r_up
-    r0, interp = _first_zero(model, p, lambda_target, eps, r_up, True)
-    if interp is None or not math.isfinite(r0):
+    r0, interp = _first_zero(model, p, lambda_target, up.r_alpha, True)
+    if not math.isfinite(r0):
         raise NonConvergence(
             f"model solution at lambda={lambda_target:.6g} has no zero "
-            f"past its series start inside the ball of mass v_upper={v_upper}")
+            f"inside the ball of mass v_upper={v_upper}")
     alpha = float(model.cumulative(r0))
-    return alpha, _pair_from(model, p, lambda_target, alpha, eps, r0, interp)
+    return alpha, _pair_from(model, p, lambda_target, alpha, r0, interp)
 
 
 def faber_krahn_check(space: WeightedInterval, v: float,

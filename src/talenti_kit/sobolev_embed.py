@@ -17,9 +17,8 @@ Near xi = 0 the profile behaves like N gamma2^(1/N) xi^((N-1)/N), so g is
 a power xi^(e1 - 1) with e1 = (p/N - 1/s)/(p - 1): the head integral
 converges exactly when s > N/p, and the outer integral of G^t converges
 exactly when t*(1/s - p/N)/(p - 1) < 1.  Falling outside these windows is
-part of the statement being checked, not a numerical failure, so the
-constants report it through the ``Divergent`` sentinel value rather than
-an exception; ``float(Divergent)`` is +inf for table display.
+part of the statement being checked, not a numerical failure, so a
+divergent constant is returned as math.inf rather than raised.
 
 Numerically, the exact profile is integrated on [xi0, v] in log-mass
 coordinates (xi0 = 1e-6 * v) and the head [0, xi0] is summed in closed
@@ -58,28 +57,9 @@ _BOUNDARY_GUARD = 1e-12
 _OUTER_CUTOFF = 0.99
 
 
-class DivergentType:
-    """Sentinel value for a constant outside its finite regime."""
-
-    _instance = None
-
-    def __new__(cls) -> "DivergentType":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Divergent"
-
-    def __float__(self) -> float:
-        return math.inf
-
-
-Divergent = DivergentType()
-
-
 def is_divergent(x) -> bool:
-    return isinstance(x, DivergentType)
+    """A constant outside its finite regime, which is math.inf."""
+    return x == math.inf
 
 
 def _validate(K: float, N: float, v: float, p: float, s: float) -> float:
@@ -187,8 +167,8 @@ def _regime_gap(N: float, p: float, inv_s: float) -> float:
 
 
 def c1_constant(K: float, N: float, v: float,
-                p: float, s: float) -> float | DivergentType:
-    """Sup-norm embedding constant; Divergent when s <= N/p.
+                p: float, s: float) -> float:
+    """Sup-norm embedding constant; math.inf when s <= N/p.
 
     The finiteness test runs through the head exponent e1 = (p/N - 1/s)
     / (p - 1) of the closed-form piece, so the flip sits exactly at
@@ -197,7 +177,7 @@ def c1_constant(K: float, N: float, v: float,
     inv_s = _validate(K, N, v, p, s)
     gap = _regime_gap(N, p, inv_s)
     if gap <= _BOUNDARY_GUARD * (p / N):
-        return Divergent
+        return math.inf
     model = model_for(K, N)
     a = (1.0 - inv_s) / (p - 1.0)
     b = p / (p - 1.0)
@@ -207,8 +187,8 @@ def c1_constant(K: float, N: float, v: float,
 
 
 def c2_constant(K: float, N: float, v: float, p: float, s: float,
-                t: float) -> float | DivergentType:
-    """L^t embedding constant; Divergent when t < 1 or the regime
+                t: float) -> float:
+    """L^t embedding constant; math.inf when t < 1 or the regime
     condition t (1/s - p/N) / (p - 1) < 1 fails.
 
     Inside the finite window the outer integrand G(x)^t has an integrable
@@ -221,10 +201,10 @@ def c2_constant(K: float, N: float, v: float, p: float, s: float,
     inv_s = _validate(K, N, v, p, s)
     check_exponent("norm exponent t", t)
     if t < 1.0:
-        return Divergent
+        return math.inf
     theta = -_regime_gap(N, p, inv_s) / (p - 1.0)
     if t * theta >= 1.0 - _BOUNDARY_GUARD:
-        return Divergent
+        return math.inf
     if t * theta > _OUTER_CUTOFF:
         raise NonConvergence(
             f"outer exponent t*(1/s - p/N)/(p-1) = {t * theta:.6f} sits too "
@@ -253,8 +233,8 @@ class EmbeddingConstants:
     p: float
     s: float
     t: float | None
-    c1: float | DivergentType
-    c2: float | DivergentType | None
+    c1: float
+    c2: float | None
 
 
 def embedding_constants(K: float, N: float, v: float, p: float, s: float,
@@ -271,7 +251,7 @@ class EmbeddingCheck(NamedTuple):
     lhs: float
     rhs: float
     slack: float
-    constant: float | DivergentType  # c1 without t, c2 with t
+    constant: float  # c1 without t, c2 with t
 
 
 def _norm(prob: RadialProblem, g: Callable, s: float) -> float:
@@ -324,10 +304,5 @@ def check_embedding(prob: RadialProblem, sol: RadialSolution, s: float,
         lhs = _norm(prob, sol.w_at, t)
         c = c2_constant(K, N, v, prob.p, s, t)
     norm = _source_norm(prob, s)
-    if norm == 0.0:
-        rhs = 0.0
-    elif is_divergent(c):
-        rhs = math.inf
-    else:
-        rhs = float(c) * norm ** (1.0 / (prob.p - 1.0))
+    rhs = 0.0 if norm == 0.0 else c * norm ** (1.0 / (prob.p - 1.0))
     return EmbeddingCheck(lhs=lhs, rhs=rhs, slack=rhs - lhs, constant=c)

@@ -172,9 +172,14 @@ class TestAnalyticAnchor:
 
     @pytest.mark.parametrize("N", [3.0, 4.0, 5.0])
     def test_half_mass_eigenfunction_is_cosine(self, N):
+        # z and z' on a uniform grid, the output grid and points crowding
+        # the pole, where z' is smallest against the solve's error
         pair = model_eigenpair(N - 1.0, N, 2.0, 0.5)
-        grid = np.linspace(0.0, pair.r_alpha, 801)
-        assert np.max(np.abs(pair.z_at(grid) - np.cos(grid))) < 1e-6
+        t = np.concatenate([np.linspace(0.0, pair.r_alpha, 801),
+                            pair.sol.grid, np.geomspace(1e-9, 1e-2, 200)])
+        z0 = pair.z_at(0.0)
+        assert np.max(np.abs(pair.z_at(t) / z0 - np.cos(t))) <= 2e-10
+        assert np.max(np.abs(pair.zprime_at(t) / z0 + np.sin(t))) <= 1e-6
 
     def test_frozen_cap_eigenvalues(self, cap):
         for p, lam in [(1.5, LAM_CAP_P15), (2.0, LAM_CAP_P2),
@@ -371,6 +376,19 @@ class TestShootingSolves:
         for factor in (100.0, 0.01):
             far = first_eigenpair(cap, 0.4, p, seed=factor * seed).lam
             assert abs(far - lam) <= 1e-12 * lam
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_default_seed_within_eight_solves(self, p, monkeypatch):
+        calls = self._counted(monkeypatch)
+        first_eigenpair(model_for(2.0, 3.0), 0.4, p)
+        assert len(calls) <= 8
+
+    @pytest.mark.parametrize("v", [0.1, 0.5, 0.9])
+    def test_high_dimensional_model_converges(self, v):
+        # K = 9, N = 10, p = 1.5: the density ~t^9 near the pole
+        pair = model_eigenpair(9.0, 10.0, 1.5, v)
+        fem = rayleigh_fem(model_for(9.0, 10.0), v, 1.5)
+        assert pair.lam == pytest.approx(fem, rel=1e-3)
 
     def test_near_full_mass_settles(self, monkeypatch):
         # r0 barely moves with lam near the end of the segment, where a
@@ -599,8 +617,8 @@ class TestProfileState:
     @staticmethod
     def _points(pair):
         r_v = pair.r_alpha
-        eps = 1e-6 * r_v
-        return [0.0, 0.5 * eps, eps, math.nextafter(eps, math.inf),
+        near = 1e-6 * r_v
+        return [0.0, 0.5 * near, near, math.nextafter(near, math.inf),
                 0.5 * r_v, r_v, 1.25 * r_v]
 
     @staticmethod
