@@ -25,13 +25,14 @@ level, ``cospos`` for the positive part of the cosine, and
 ``twolevel h1 h2 split`` for a two-level step jumping at radius
 ``split``.  Check slack is reported so that nonnegative means the
 check passed; budgets scale with the optional per-scenario
-``tol_scale`` key and with the ``TALENTI_SEED_TOL`` environment
-variable.  ``talenti-kit suite NAME`` runs a built-in scenario pack
-(``talenti-kit list`` prints the names), ``--jobs N`` runs scenarios
-in parallel threads, ``--out DIR`` picks the output folder.  Of the
-kinds, only ``eigen``, ``holder`` and ``stability-sweep``
-(``scipy.integrate``) and ``poisson`` (``scipy.interpolate``) need
-scipy, and parsing a scenario imports the subpackage its kind needs.
+``tol_scale`` key alone, which the record echoes as
+``param.tol_scale``.  ``talenti-kit suite NAME`` runs a built-in
+scenario pack (``talenti-kit list`` prints the names), ``--jobs N``
+runs scenarios in parallel threads, ``--out DIR`` picks the output
+folder.  Of the kinds, only ``eigen``, ``holder`` and
+``stability-sweep`` (``scipy.integrate``) and ``poisson``
+(``scipy.interpolate``) need scipy, and parsing a scenario imports
+the subpackage its kind needs.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import argparse
 import configparser
 import importlib
 import math
-import os
 import re
 import sys
 import time
@@ -61,8 +61,8 @@ from .radial_poisson import (RadialProblem, gradient_norm, gradient_norm_mass,
                              solve_explicit, solve_mass_form, weak_residual)
 from .rearrangement import StepFunction, decreasing_rearrangement, lp_norm, \
     sample_on_cells
-from .sobolev_embed import c1_constant, check_embedding, \
-    embedding_constants, is_divergent
+from .sobolev_embed import c1_constant, c2_constant, check_embedding, \
+    is_divergent
 from .talenti_check import ProblemInstance, make_shifted_cap, model_for, \
     run_comparison
 
@@ -629,17 +629,17 @@ def _run_sobolev(sc: Scenario, scale: float):
     emb = check_embedding(prob, sol, s, t)
     vm = float(space.cumulative(r1))
     crit = N / p
-    consts = [embedding_constants(K, N, vm, p, si, t)
-              for si in (crit * (1.0 - 1e-3), crit, crit * (1.0 + 1e-3),
-                         2.0 * crit)]
-    below, at, above = (is_divergent(row.c1) for row in consts[:3])
+    rows = [(si, t, c1_constant(K, N, vm, p, si),
+             None if t is None else c2_constant(K, N, vm, p, si, t))
+            for si in (crit * (1.0 - 1e-3), crit, crit * (1.0 + 1e-3),
+                       2.0 * crit)]
+    below, at, above = (is_divergent(row[2]) for row in rows[:3])
     checks = [
         _check("embedding-slack", emb.slack + 1e-8 * scale),
         _gate("critical-below-divergent", below),
         _gate("critical-at-divergent", at),
         _gate("critical-above-finite", not above),
     ]
-    rows = [(row.s, t, row.c1, row.c2) for row in consts]
     # the row at the scenario's own s reuses the constant the check used
     c1 = emb.constant if t is None else c1_constant(K, N, vm, p, s)
     c2 = None if t is None else emb.constant
@@ -756,27 +756,12 @@ def _write_csv(path: Path, header, columns) -> None:
             fh.write((",".join(specs) + "\n") * (hi - lo) % tuple(flat))
 
 
-def _env_scale() -> float:
-    raw = os.environ.get("TALENTI_SEED_TOL")
-    if raw is None:
-        return 1.0
-    try:
-        val = float(raw)
-    except ValueError:
-        raise ParseError(f"TALENTI_SEED_TOL = {raw!r}: not a number") \
-            from None
-    if not (val > 0.0 and math.isfinite(val)):
-        raise ParseError(f"TALENTI_SEED_TOL = {raw!r}: must be a positive "
-                         "finite number")
-    return val
-
-
-def _execute(sc: Scenario, scale: float, out_dir: Path) -> RunRecord:
+def _execute(sc: Scenario, out_dir: Path) -> RunRecord:
     start = time.perf_counter()
     checks, tables, error = [], [], ""
     try:
         run = _KINDS[sc.kind].run
-        checks, tables = run(sc, scale * sc.params["tol_scale"])
+        checks, tables = run(sc, sc.params["tol_scale"])
     except Exception as exc:  # library refusals become recorded failures
         error = f"{type(exc).__name__}: {' '.join(str(exc).split())}"
     wall = time.perf_counter() - start
@@ -798,13 +783,11 @@ def run_scenarios(scenarios, out_dir, jobs: int = 1,
         raise ParseError("no scenarios to run")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    scale = _env_scale()
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(
-                lambda sc: _execute(sc, scale, out), scenarios))
+            records = list(pool.map(lambda sc: _execute(sc, out), scenarios))
     else:
-        records = [_execute(sc, scale, out) for sc in scenarios]
+        records = [_execute(sc, out) for sc in scenarios]
     good = sum(r.passed for r in records)
     lines = ["[summary]",
              f"source = {label}",

@@ -54,10 +54,8 @@ from .errors import (
     NoCrossing,
     NonConvergence,
 )
-from .model_space import WeightedInterval
-from .radial_poisson import (RadialProblem, RadialSolution, check_exponent,
-                             power_signed)
-from .talenti_check import model_for
+from .model_space import WeightedInterval, model_for
+from .radial_poisson import RadialSolution, check_exponent, power_signed
 
 _ATOL = (1e-14, 1e-18)
 _NORM_TOL = numerics.Tolerance(rel=1e-11, abs=1e-15)
@@ -99,15 +97,6 @@ class EigenPair:
 
     def zprime_at(self, t):
         return self.sol.wprime_at(t)
-
-    def problem(self) -> RadialProblem:
-        """The Poisson problem the eigenfunction solves (datum lam*Phi_p(z))."""
-        lam, p, zf = self.lam, self.p, self.sol.w_at
-
-        def datum(t):
-            return lam * np.asarray(zf(t), dtype=float) ** (p - 1.0)
-
-        return RadialProblem(space=self.space, p=p, f=datum, r1=self.sol.r1)
 
     def rayleigh(self) -> float:
         """Rayleigh quotient of the stored profile, for consistency checks."""

@@ -21,7 +21,6 @@ cut at an offset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -123,18 +122,6 @@ def sine_power(K: float, N: float, shift: float = 0.0):
     return raw, L
 
 
-@dataclass(frozen=True)
-class ModelConstants:
-    """Small-radius comparison constants.
-
-    gamma1 bounds the density from above via gamma1 * t**(N-1) and
-    gamma2 = gamma1 / N plays the same role for the cumulative.
-    """
-
-    gamma1: float
-    gamma2: float
-
-
 class ModelSpace(WeightedInterval):
     """The model segment: sine_power on [0, L], its density guarded.
 
@@ -168,7 +155,19 @@ class ModelSpace(WeightedInterval):
 
     isoperimetric_profile = WeightedInterval.profile
 
-    def constants(self) -> ModelConstants:
-        gamma1 = math.sqrt(self.K / (self.N - 1.0)) ** (self.N - 1.0) / self.c
-        return ModelConstants(gamma1=gamma1, gamma2=gamma1 / self.N)
+
+_MODELS: dict[tuple[float, float], ModelSpace] = {}
+
+
+def model_for(K: float, N: float) -> ModelSpace:
+    """Shared, lazily built model space for a curvature-dimension pair.
+
+    The kit's only model cache; threads that miss at once may both build,
+    but all get the stored object.
+    """
+    key = (float(K), float(N))
+    model = _MODELS.get(key)
+    if model is None:
+        model = _MODELS.setdefault(key, ModelSpace(*key))
+    return model
 

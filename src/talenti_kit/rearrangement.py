@@ -53,10 +53,6 @@ class SampledFunction:
         object.__setattr__(self, "measures", m)
         object.__setattr__(self, "values", v)
 
-    @property
-    def total_measure(self) -> float:
-        return float(self.measures.sum())
-
 
 @dataclass(frozen=True)
 class StepFunction:
@@ -111,12 +107,11 @@ class SymmetrizedFunction:
     """Radially decreasing representative on a model segment.
 
     Evaluates as profile(H(x)) where profile is the decreasing
-    rearrangement and H the model cumulative.  Vanishes beyond the
-    radius r_v enclosing the mass of the original domain.
+    rearrangement and H the model cumulative, so it vanishes beyond the
+    radius enclosing the mass of the original domain.
     """
 
     model: ModelSpace
-    r_v: float
     profile: StepFunction
 
     def __call__(self, x):
@@ -147,8 +142,7 @@ def decreasing_rearrangement(u: SampledFunction) -> StepFunction:
 
 def schwarz_symmetrize(u: SampledFunction, model: ModelSpace) -> SymmetrizedFunction:
     """Symmetric decreasing representative of u on the model segment."""
-    r_v = model.inverse_cumulative(min(u.total_measure, 1.0))
-    return SymmetrizedFunction(model=model, r_v=r_v,
+    return SymmetrizedFunction(model=model,
                                profile=decreasing_rearrangement(u))
 
 

@@ -36,16 +36,14 @@ form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import numerics
 from .errors import InvalidParameter, NonConvergence
-from .model_space import ModelSpace, check_curvature_dimension
+from .model_space import ModelSpace, check_curvature_dimension, model_for
 from .radial_poisson import RadialProblem, RadialSolution, check_exponent
-from .talenti_check import model_for
 
 # relative guard around the finiteness boundary: a regime gap below this
 # fraction of p/N counts as sitting on the boundary, so s = N/p lands on
@@ -102,7 +100,8 @@ class _Head:
     def __init__(self, model: ModelSpace, v: float, b: float,
                  e1: float) -> None:
         N = model.N
-        gamma2 = model.constants().gamma2
+        # cumulative H(t) ~ gamma2 t^N at the pole
+        gamma2 = math.sqrt(model.K / (N - 1.0)) ** (N - 1.0) / model.c / N
         self.xi0 = 1e-6 * v
         self.e1 = e1
         self.e2 = e1 + 2.0 / N
@@ -216,35 +215,6 @@ def c2_constant(K: float, N: float, v: float, p: float, s: float,
     outer = numerics.integrate(
         lambda x: np.maximum(tail(x), 0.0) ** t, 0.0, v)
     return outer ** (1.0 / t)
-
-
-@dataclass(frozen=True)
-class EmbeddingConstants:
-    """One row of a constants table.
-
-    c1 is finite exactly when s > N/p; c2 (present only when a norm
-    exponent t was requested) is finite exactly when t >= 1 and
-    t (1/s - p/N) / (p - 1) < 1.
-    """
-
-    K: float
-    N: float
-    v: float
-    p: float
-    s: float
-    t: float | None
-    c1: float
-    c2: float | None
-
-
-def embedding_constants(K: float, N: float, v: float, p: float, s: float,
-                        t: float | None = None) -> EmbeddingConstants:
-    """Evaluate both constants for one parameter point."""
-    c1 = c1_constant(K, N, v, p, s)
-    c2 = c2_constant(K, N, v, p, s, t) if t is not None else None
-    return EmbeddingConstants(K=float(K), N=float(N), v=float(v), p=float(p),
-                              s=float(s), t=None if t is None else float(t),
-                              c1=c1, c2=c2)
 
 
 class EmbeddingCheck(NamedTuple):

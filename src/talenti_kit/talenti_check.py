@@ -44,6 +44,7 @@ from .model_space import (
     ModelSpace,
     WeightedInterval,
     check_curvature_dimension,
+    model_for,
     sine_power,
 )
 from .radial_poisson import (
@@ -53,21 +54,6 @@ from .radial_poisson import (
     solve_explicit,
 )
 from .rearrangement import decreasing_rearrangement, sample_on_cells
-
-_MODELS: dict[tuple[float, float], ModelSpace] = {}
-
-
-def model_for(K: float, N: float) -> ModelSpace:
-    """Shared, lazily built model space for a curvature-dimension pair.
-
-    The kit's only model cache; threads that miss at once may both build,
-    but all get the stored object.
-    """
-    key = (float(K), float(N))
-    model = _MODELS.get(key)
-    if model is None:
-        model = _MODELS.setdefault(key, ModelSpace(*key))
-    return model
 
 
 def make_shifted_cap(K: float, N: float, shift: float,
@@ -143,9 +129,6 @@ class ProblemInstance:
 class ComparisonReport:
     """Outcome of one symmetrization comparison."""
 
-    label: str
-    p: float
-    v: float
     pointwise_violation: float
     grid_bound: float
     gradient_gaps: dict[float, tuple[float, float]]
@@ -292,7 +275,6 @@ def run_comparison(inst: ProblemInstance,
         sharpness_gap = float(np.max(np.abs(diff)))
 
     return ComparisonReport(
-        label=inst.label, p=p, v=inst.v,
         pointwise_violation=pointwise_violation,
         grid_bound=grid_bound,
         gradient_gaps=gradient_gaps,

@@ -18,6 +18,12 @@ from scipy.special import betainc, betaincinv
 from talenti_kit.errors import InvalidParameter, OutOfDomain
 from talenti_kit.model_space import ModelSpace
 
+# small-radius constants of the (K=2, N=3) segment: h(t) <= GAMMA1 t^2
+# and H(t) <= GAMMA2 t^3 = GAMMA1 t^3 / N, with equality in the limit
+# at the pole
+GAMMA1 = 2.0 / math.pi
+GAMMA2 = 2.0 / (3.0 * math.pi)
+
 
 @pytest.fixture(scope="module")
 def ms23():
@@ -56,10 +62,6 @@ class TestClosedFormAnchors:
         assert ms23.isoperimetric_profile(0.4) == pytest.approx(
             0.620780222446247150, rel=1e-9)
 
-    def test_constants(self, ms23):
-        cst = ms23.constants()
-        assert cst.gamma1 == pytest.approx(2.0 / math.pi, rel=1e-10)
-        assert cst.gamma2 == pytest.approx(2.0 / (3.0 * math.pi), rel=1e-10)
 
 
 class TestInvariants:
@@ -77,22 +79,19 @@ class TestInvariants:
     @given(t=st.floats(min_value=1e-6, max_value=math.pi - 1e-6))
     @settings(max_examples=60, deadline=None)
     def test_small_radius_bounds(self, ms23, t):
-        cst = ms23.constants()
-        assert ms23.density(t) <= cst.gamma1 * t ** 2.0 * (1.0 + 1e-12)
-        assert ms23.cumulative(t) <= cst.gamma2 * t ** 3.0 * (1.0 + 1e-12)
+        assert ms23.density(t) <= GAMMA1 * t ** 2.0 * (1.0 + 1e-12)
+        assert ms23.cumulative(t) <= GAMMA2 * t ** 3.0 * (1.0 + 1e-12)
 
     @given(v=st.floats(min_value=1e-8, max_value=1.0))
     @settings(max_examples=60, deadline=None)
     def test_inverse_lower_bound(self, ms23, v):
-        cst = ms23.constants()
-        lower = (v / cst.gamma2) ** (1.0 / 3.0)
+        lower = (v / GAMMA2) ** (1.0 / 3.0)
         assert ms23.inverse_cumulative(v) >= lower * (1.0 - 1e-10)
 
     def test_density_limit_ratio(self, ms23):
-        cst = ms23.constants()
         t = 1e-6
-        assert ms23.density(t) / t ** 2.0 == pytest.approx(cst.gamma1, rel=1e-6)
-        assert ms23.cumulative(t) / t ** 3.0 == pytest.approx(cst.gamma2, rel=1e-4)
+        assert ms23.density(t) / t ** 2.0 == pytest.approx(GAMMA1, rel=1e-6)
+        assert ms23.cumulative(t) / t ** 3.0 == pytest.approx(GAMMA2, rel=1e-4)
 
     @given(v=st.floats(min_value=0.001, max_value=0.999))
     @settings(max_examples=40, deadline=None)

@@ -158,10 +158,10 @@ class TestWeakForm:
         assert weak_residual(bad, prob) > 1e-3
 
 
-def _weak_residual_per_hat(sol, prob, split_body):
-    """weak_residual as every hat computing its own six integrals: the
-    flux and the density over each half, and the source over the whole
-    support; the body over the whole support too unless split_body."""
+def _weak_residual_per_hat(sol, prob):
+    """weak_residual as every hat computing its own three integrals, the
+    flux over each half and the source over the whole support, and
+    reading the mass of each half from the space's cumulative."""
     p = prob.p
     knots = cosine_grid(0.0, prob.r1, 33)
     density = prob.space.density
@@ -180,22 +180,15 @@ def _weak_residual_per_hat(sol, prob, split_body):
             - integrate(flux, xc, xr, qtol) / dr
         src = lambda t: np.asarray(prob.f(t), dtype=float) * hat(t) * density(t)
         rhs = integrate(src, xl, xr, qtol)
-        body_of = lambda t: hat(t) ** p * density(t)
-        if split_body:
-            body = integrate(body_of, xl, xc, qtol) \
-                + integrate(body_of, xc, xr, qtol)
-        else:
-            body = integrate(body_of, xl, xr, qtol)
-        grad = integrate(density, xl, xc, qtol) / dl ** p \
-            + integrate(density, xc, xr, qtol) / dr ** p
-        worst = max(worst, abs(lhs - rhs) / (body + grad) ** (1.0 / p))
+        ml, mr = np.diff(prob.space.cumulative(np.array([xl, xc, xr])))
+        grad = ml / dl ** p + mr / dr ** p
+        worst = max(worst, abs(lhs - rhs) / grad ** (1.0 / p))
     return worst
 
 
 class TestWeakResidualOracle:
     """Integrals shared between neighbouring hats give the per-hat
-    formula's bits; the body split at the peak moves the residual only
-    by the error the unsplit body makes across the kink."""
+    formula's bits."""
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("where", ["model", "cap"])
@@ -211,12 +204,7 @@ class TestWeakResidualOracle:
         sol = solve_explicit(prob)
         got = weak_residual(sol, prob)
         assert got > 0.0
-        assert got == _weak_residual_per_hat(sol, prob, split_body=True)
-        # one panel across the kink leaves the body up to 3e-5 relative
-        # off (against QUADPACK split at the peak), which moves these
-        # residuals by up to 1.2e-8 relative through the hat's norm
-        unsplit = _weak_residual_per_hat(sol, prob, split_body=False)
-        assert got == pytest.approx(unsplit, rel=2e-8, abs=0.0)
+        assert got == _weak_residual_per_hat(sol, prob)
 
 
 class TestGradientNorms:

@@ -4,14 +4,18 @@ Every public kit function, class and method must be reached from code
 that runs outside the unit tests: the kit itself, the acceptance
 criteria or the benchmark.  A name that only unit tests call is library
 code that no scenario runs.  And no module under src/ or tests/ may
-import a name it never uses.  Both checks read names only, through the
+import a name it never uses.  These checks read names only, through the
 standard ast module, so a name counts as reached wherever it appears.
+The solvers take the model from the geometry layer, never from the
+comparison pipeline built on top of them.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 KIT = sorted((ROOT / "src" / "talenti_kit").glob("*.py"))
@@ -79,3 +83,19 @@ def test_every_public_kit_name_is_reached():
 def test_no_unused_imports():
     files = KIT + sorted((ROOT / "tests").glob("*.py"))
     assert [u for p in files for u in _unused_imports(p)] == []
+
+
+def _kit_imports(path: Path) -> set[str]:
+    """Kit modules a kit module imports, by their own names."""
+    out = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            out.update([node.module] if node.module
+                       else [a.name for a in node.names])
+    return out
+
+
+@pytest.mark.parametrize("solver", ["eigen", "sobolev_embed"])
+def test_solvers_do_not_import_the_pipeline(solver):
+    path = ROOT / "src" / "talenti_kit" / f"{solver}.py"
+    assert "talenti_check" not in _kit_imports(path)

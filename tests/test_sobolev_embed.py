@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from talenti_kit import cli
 from talenti_kit.errors import InvalidParameter, NonConvergence
 from talenti_kit.radial_poisson import (
     RadialProblem,
@@ -28,7 +29,6 @@ from talenti_kit.sobolev_embed import (
     c1_constant,
     c2_constant,
     check_embedding,
-    embedding_constants,
     is_divergent,
 )
 from talenti_kit.talenti_check import make_shifted_cap, model_for
@@ -170,22 +170,23 @@ class TestValidation:
             c2_constant(2.0, 3.0, 0.5, 2.0, 1.5, t)
 
 
-class TestTables:
-    def test_echoes_parameters(self):
-        row = embedding_constants(2.0, 3.0, 0.5, 2.0, math.inf)
-        assert (row.K, row.N, row.v, row.p) == (2.0, 3.0, 0.5, 2.0)
-        assert row.s == math.inf and row.t is None
-        assert row.c1 == pytest.approx(0.5, rel=1e-12)
-        assert row.c2 is None
+def _ladder_row(K, N, v, p, s, t=None):
+    # one row of the sobolev scenario's table, built as cli._run_sobolev
+    # builds it
+    return (s, t, c1_constant(K, N, v, p, s),
+            None if t is None else c2_constant(K, N, v, p, s, t))
 
+
+class TestTables:
     def test_divergent_row_displays_inf(self):
-        row = embedding_constants(2.0, 3.0, 0.5, 2.0, 1.5, t=0.5)
-        assert is_divergent(row.c1) and is_divergent(row.c2)
-        assert float(row.c1) == math.inf
+        s, t, c1, c2 = _ladder_row(2.0, 3.0, 0.5, 2.0, 1.5, t=0.5)
+        assert is_divergent(c1) and is_divergent(c2)
+        assert cli._fmt(c1) == cli._fmt(c2) == "inf"
 
     def test_frozen_c2(self):
-        row = embedding_constants(2.0, 3.0, 0.5, 2.0, 1.5, t=2.0)
-        assert row.c2 == pytest.approx(0.52099904638863054, rel=1e-10)
+        s, t, c1, c2 = _ladder_row(2.0, 3.0, 0.5, 2.0, 1.5, t=2.0)
+        assert c2 == pytest.approx(0.52099904638863054, rel=1e-10)
+        assert is_divergent(c1)
 
 
 class TestCheckEmbedding:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from talenti_kit import numerics, talenti_check
+from talenti_kit import model_space, numerics, talenti_check
 from talenti_kit.errors import (
     DegenerateLevel,
     InvalidMass,
@@ -198,7 +198,7 @@ class TestTableResolution:
 
         coarse = run()
         monkeypatch.setattr(numerics, "_TABLE_CELLS", 256)
-        monkeypatch.setattr(talenti_check, "_MODELS", {})
+        monkeypatch.setattr(model_space, "_MODELS", {})
         fine = run()
         assert abs(fine - coarse) <= 1e-13
         assert coarse == pytest.approx(0.185487259525593, abs=1e-13)
