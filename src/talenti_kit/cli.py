@@ -29,10 +29,9 @@ check passed; budgets scale with the optional per-scenario
 ``param.tol_scale``.  ``talenti-kit suite NAME`` runs a built-in
 scenario pack (``talenti-kit list`` prints the names), ``--jobs N``
 runs scenarios in parallel threads, ``--out DIR`` picks the output
-folder.  Of the kinds, only ``eigen``, ``holder`` and
-``stability-sweep`` (``scipy.integrate``) and ``poisson``
-(``scipy.interpolate``) need scipy, and parsing a scenario imports
-the subpackage its kind needs.
+folder.  Of the kinds, only ``holder`` and ``stability-sweep``
+(``scipy.integrate``) and ``poisson`` (``scipy.interpolate``) need
+scipy, and parsing a scenario imports the subpackage its kind needs.
 """
 
 from __future__ import annotations
@@ -52,9 +51,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .eigen import (alpha_from_lambda, chiti_compare, faber_krahn_check,
-                    first_eigenpair, model_eigenpair, reverse_holder,
-                    stability_deficits)
+from .eigen import (alpha_from_lambda, chiti_compare, eigenvalue_enclosure,
+                    faber_krahn_check, first_eigenpair, model_eigenpair,
+                    reverse_holder, stability_deficits)
 from .errors import ParseError
 from .model_space import WeightedInterval, sine_power
 from .radial_poisson import (RadialProblem, gradient_norm, gradient_norm_mass,
@@ -566,9 +565,12 @@ def _run_eigen(sc: Scenario, scale: float):
     K, N, p, v = params["K"], params["N"], params["p"], params["v"]
     fk = faber_krahn_check(_space_for(params), v, p)
     pair, margin = fk.instance, fk.margin
+    # the smallest interval holding both bounds and lam, relative to lam
+    lam_lo, lam_hi = eigenvalue_enclosure(pair)
+    spread = (max(lam_hi, pair.lam) - min(lam_lo, pair.lam)) / pair.lam
     checks = [
         _check("faber-krahn", margin + 1e-8 * scale),
-        _check("boundary-zero", 1e-6 * scale - abs(pair.z_end)),
+        _check("eigenvalue-enclosure", 1e-10 * scale - spread),
         _check("rayleigh-consistent",
                1e-6 * scale - abs(pair.rayleigh() - pair.lam) / pair.lam),
     ]
@@ -667,12 +669,10 @@ def _run_sweep(sc: Scenario, scale: float):
     K, N, p, v = params["K"], params["N"], params["p"], params["v"]
     model = model_for(K, N)
     up = model_eigenpair(K, N, p, v)
-    seed = up.lam
     rows, deltas = [], []
     for a in params["a_list"]:
         cap = make_shifted_cap(K, N, a, v)
-        u = first_eigenpair(cap, v, p, seed=seed)
-        seed = u.lam  # eigenvalues grow with a; the next secant starts here
+        u = first_eigenpair(cap, v, p)
         alpha, z = alpha_from_lambda(up, u.lam)
         per_q = stability_deficits(u, z, p, params["Q"])
         delta = max(per_q)
@@ -705,8 +705,7 @@ _KINDS = {
     "poisson": _Kind(_parse_poisson, _run_poisson,
                      scipy="scipy.interpolate"),
     "talenti": _Kind(_parse_talenti, _run_talenti),
-    "eigen": _Kind(_parse_shifted, _run_eigen, ("-spectrum",),
-                   "scipy.integrate"),
+    "eigen": _Kind(_parse_shifted, _run_eigen, ("-spectrum",)),
     "holder": _Kind(_parse_holder, _run_holder, ("-chiti",),
                     "scipy.integrate"),
     "sobolev": _Kind(_parse_sobolev, _run_sobolev, ("-check",)),

@@ -6,27 +6,23 @@ positive, nonincreasing solution of
     -(w * Phi_p(z'))' = lam * w * Phi_p(z),   Phi_p(x) = |x|^{p-2} x,
 
 with z(0) = 1, z'(0) = 0 and z(r_v) = 0 at the radius enclosing the
-prescribed mass fraction v.  Writing m = w * Phi_p(z') for the flux
-turns this into the first-order system
+prescribed mass fraction v.  first_eigenpair runs the inverse power
+method (Biezuner, Ercole and Martins, J. Funct. Anal. 257, 2009): each
+step is the explicit radial solve u_{k+1}(rho) = int_rho^{r_v}
+(M_k / w)^{1/(p-1)} with M_k(rho) = int_0^rho u_k^{p-1} dm, and by
+Picone's identity (Allegretto and Huang, Nonlinear Anal. 32, 1998) the
+min and max of (u_k / u_{k+1})^{p-1} enclose lam.
+
+alpha_from_lambda inverts the model eigenvalue curve v -> lambda(v) by
+one shot of the first-order system for z and the flux m = w * Phi_p(z'),
 
     z' = sign(m) |m / w|^{1/(p-1)},    m' = -lam * w * Phi_p(z),
 
-which every solve integrates from the pole itself, (z, m) = (1, -0) at
-t = 0: the flux vanishes there, and the RHS returns (0, 0) where w = 0.
-Its first zero moves continuously and strictly decreasingly with lam
-(Elbert 1979), so the eigenvalue is the unique lam placing that zero
-exactly at r_v.  The zero scales almost like lam^{-1/p}, so a secant
-on log r0 against log lam, started at the seed and kept inside the
-bracket the signs seen so far span, finds it in a few solves.  The
-same monotonicity inverts the model eigenvalue curve v -> lambda(v)
-in one integration: the model ball whose first eigenvalue is a given
-lam ends at the first zero of the model solution shot at that lam, so
-alpha_from_lambda needs no search over masses, and that solution up to
-the zero is the model eigenpair on the ball, with lam as its eigenvalue
-by construction.  Both routes build their
-EigenPair in _pair_from.  The RHS reads the density one scalar at a
-time; model and cap densities answer a float argument through math.sin
-without array setup.
+from the pole, (z, m) = (1, -0) at t = 0; the RHS returns (0, 0) where
+w = 0.  Its first zero falls strictly with lam (Elbert 1979), so the
+model ball whose first eigenvalue is lam ends there.  The RHS reads the
+density one scalar at a time; model and cap densities answer a float
+argument through math.sin without array setup.
 
 The remaining routines compare an instance eigenpair against the model
 one: eigenvalue domination, the single-crossing ordering of the
@@ -55,12 +51,13 @@ from .errors import (
     NonConvergence,
 )
 from .model_space import WeightedInterval, model_for
-from .radial_poisson import RadialSolution, check_exponent, power_signed
+from .radial_poisson import (RadialProblem, RadialSolution, check_exponent,
+                             solve_explicit)
 
 _ATOL = (1e-14, 1e-18)
 _NORM_TOL = numerics.Tolerance(rel=1e-11, abs=1e-15)
-# solve_ivp solves one eigenvalue search may make
-_SHOOTING_SOLVES = 100
+# inverse iteration steps before NonConvergence
+_ITERATIONS = 200
 
 
 def solve_ivp(*args, **kwargs):
@@ -71,14 +68,12 @@ def solve_ivp(*args, **kwargs):
 
 @dataclass
 class EigenPair:
-    """Eigenvalue plus the shooting profile and the space it lives on.
+    """Eigenvalue plus the eigenfunction and the space it lives on.
 
-    The profile is packaged as a RadialSolution so the weak-residual and
-    gradient-norm checks from the Poisson module apply verbatim; its
-    mass_at returns the cumulative datum mass int_0^rho lam*z^{p-1} dm,
-    which equals minus the flux m and therefore comes straight from the
-    integrated system rather than a second quadrature.  z_end is the
-    integrated z at r_alpha, which z_at pins to 0.
+    The eigenfunction is packaged as a RadialSolution so the
+    weak-residual and gradient-norm checks from the Poisson module apply
+    verbatim; its mass_at returns the cumulative datum mass
+    int_0^rho lam*z^{p-1} dm, the mass the slope is built from.
     """
 
     lam: float
@@ -86,7 +81,6 @@ class EigenPair:
     p: float
     space: WeightedInterval
     v: float
-    z_end: float
 
     @property
     def r_alpha(self) -> float:
@@ -148,89 +142,68 @@ def _rhs_factory(space: WeightedInterval, p: float, lam: float):
     return rhs
 
 
-def _shoot(space: WeightedInterval, p: float, lam: float, end: float,
-           **kwargs):
-    """DOP853 solve of the (z, m) system on [0, end] from the pole, where
-    (z, m) = (1, -0): the flux vanishes there, and z' with it."""
-    return solve_ivp(_rhs_factory(space, p, lam), (0.0, end), (1.0, -0.0),
-                     method="DOP853", rtol=1e-11, atol=_ATOL, **kwargs)
-
-
 def _first_zero(space: WeightedInterval, p: float, lam: float,
-                horizon: float, dense: bool = False):
-    """(first zero of z in (0, horizon] or inf, dense output or None)."""
+                horizon: float) -> float:
+    """First zero of z in (0, horizon], or inf: one DOP853 solve of the
+    (z, m) system from the pole, where (z, m) = (1, -0)."""
     ev = lambda t, y: y[0]
     ev.terminal = True
     ev.direction = -1
-    out = _shoot(space, p, lam, horizon, events=ev, dense_output=dense)
-    if out.t_events[0].size:
-        return float(out.t_events[0][0]), out.sol
-    return math.inf, out.sol
+    out = solve_ivp(_rhs_factory(space, p, lam), (0.0, horizon), (1.0, -0.0),
+                    method="DOP853", rtol=1e-11, atol=_ATOL, events=ev)
+    return float(out.t_events[0][0]) if out.t_events[0].size else math.inf
 
 
-def _shooting_lambda(space: WeightedInterval, p: float, r_v: float,
-                     seed: float) -> float:
-    """Safeguarded secant on g(lam) = log(r0(lam) / r_v) against log lam.
+def _slope(mass: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
+    """|z'| = (M / w)^{1/(p-1)}, and 0 where w <= 1e-280 or M <= 0: a
+    density vanishing like t^{N-1} underflows in the graded first cells,
+    where M / w would read 0/0."""
+    out = np.zeros(np.shape(mass))
+    ok = (w > 1e-280) & (mass > 0.0)
+    out[ok] = (mass[ok] / w[ok]) ** (1.0 / (p - 1.0))
+    return out
 
-    r0 falls strictly in lam and scales almost like lam**(-1/p), so the
-    first step from the seed is lam * exp(p * g), along that law's slope
-    -1/p.  Later steps take the slope of the secant through the last two
-    finite values, and keep the previous slope when noise in r0 makes
-    the secant's nonnegative.  The signs seen so far keep a bracket
-    [lo, hi]; no zero before the horizon counts as g > 0.  While hi is
-    unknown a step goes at most to 2 * lo, since r0 flattens near the
-    end of a segment and secants there overshoot by orders of magnitude.
-    A step leaving a closed bracket halves hi while lo is unknown, and
-    takes the geometric midpoint otherwise.  The loop stops once the
-    bracket is within 5e-13 * hi or a step within 1e-14 * lam, and
-    raises NonConvergence when _SHOOTING_SOLVES solves do not get there.
+
+def _inverse_iteration(edges: np.ndarray, w: np.ndarray,
+                       p: float) -> tuple[float, np.ndarray]:
+    """(lam, u) on the Kronrod nodes of the cells between edges, where
+    the density is w, from u = 1; each u_{k+1} is scaled to u(0) = 1.
+
+    The bracket [lo, hi] of (u_k / u_{k+1})^{p-1} is taken where u_{k+1}
+    exceeds 1e-3 of u_{k+1}(0).  The iteration stops once its width is
+    within 1e-14 * hi, or within 1e-10 * hi and no narrower than the
+    step before (the rounding floor), and lam is its midpoint.
     """
-    horizon = r_v + min(0.25 * r_v, 0.9 * (space.length - r_v))
-    lo, hi = 0.0, math.inf
-    lam, prev, slope = seed, None, -1.0 / p
-    for _ in range(_SHOOTING_SOLVES):
-        f = math.log(_first_zero(space, p, lam, horizon)[0] / r_v)
-        if f == 0.0:
-            return lam
-        if f > 0.0:
-            lo = lam
-        else:
-            hi = lam
-        if lo >= (1.0 - 5e-13) * hi:
-            return 0.5 * (lo + hi)
-        nxt = math.nan
-        if math.isfinite(f):
-            if prev is not None:
-                sec = (f - prev[1]) / math.log(lam / prev[0])
-                if sec < 0.0:
-                    slope = sec
-            nxt = lam * math.exp(-f / slope)
-            prev = (lam, f)
-        if hi == math.inf:
-            nxt = min(nxt, 2.0 * lo) if nxt > lo else 2.0 * lo
-        elif not lo < nxt < hi:
-            nxt = 0.5 * hi if lo == 0.0 else math.sqrt(lo * hi)
-        if abs(nxt - lam) <= 1e-14 * lam:
-            return nxt
-        lam = nxt
+    pm1 = p - 1.0
+    u, last = np.ones_like(w), math.inf
+    for _ in range(_ITERATIONS):
+        mass, _ = numerics.node_integrals(u ** pm1 * w, edges)
+        nxt, top = numerics.node_integrals(_slope(mass, w, p), edges,
+                                           from_right=True)
+        keep = nxt > 1e-3 * top
+        ratio = (u[keep] / nxt[keep]) ** pm1
+        lo, hi = float(np.min(ratio)), float(np.max(ratio))
+        u = nxt / top
+        width = hi - lo
+        if width <= 1e-14 * hi or last <= width <= 1e-10 * hi:
+            return 0.5 * (lo + hi), u
+        last = width
     raise NonConvergence(
-        f"shooting eigenvalue unsettled after {_SHOOTING_SOLVES} solves "
-        f"(bracket [{lo:.6g}, {hi:.6g}])")
+        f"inverse iteration unsettled after {_ITERATIONS} steps "
+        f"(bracket [{lo:.17g}, {hi:.17g}])")
 
 
 def first_eigenpair(space: WeightedInterval, v: float, p: float,
                     seed: float | None = None) -> EigenPair:
-    """Shooting solve for the first Dirichlet eigenpair at mass fraction v.
+    """First Dirichlet eigenpair at mass fraction v, by inverse iteration.
 
-    v is the mass of the domain; a constant multiple of the density
-    builds the same unit-mass space, so the answer is invariant under
-    rescaling the density by construction.  seed is where the shooting
-    secant starts, (pi / r_v)**p by default.  For N up to about 3 that
-    lies above the eigenvalue, so its first zero falls before the
-    horizon and the secant steps at once; for larger N the search
-    doubles up to the eigenvalue first.  Callers holding a nearby
-    eigenvalue (model comparisons, parameter sweeps) pass it and save
-    solves.
+    v is the mass of the domain, so the answer is invariant under
+    rescaling the density.  The iteration runs on the Kronrod nodes of
+    numerics.table_grid(r_v).  The pair reads two tables built from the
+    final node values: the datum mass lam * int_0^rho z^{p-1} dm, and the
+    slope (mass / w)^{1/(p-1)}, whose integral from t to r_v is z(t).
+    Queries clip t to [0, r_v], and z = 0 from r_v on.  seed is accepted
+    for callers that pass one and has no effect.
     """
     if not (p > 1.0 and math.isfinite(p)):
         raise InvalidParameter(f"exponent p={p} must exceed 1")
@@ -241,72 +214,43 @@ def first_eigenpair(space: WeightedInterval, v: float, p: float,
     if np.any(np.asarray(space.density(probes), dtype=float) <= 0.0):
         raise InvalidParameter("density must stay positive on (0, r_v]")
 
-    if seed is None:
-        seed = (math.pi / r_v) ** p
-    lam = _shooting_lambda(space, p, r_v, float(seed))
-
-    out = _shoot(space, p, lam, r_v, dense_output=True)
-    if not out.success:
-        raise NonConvergence("final eigenfunction integration failed")
-    return _pair_from(space, p, lam, v, r_v, out.sol)
-
-
-def _pair_from(space: WeightedInterval, p: float, lam: float, v: float,
-               r_v: float, interp) -> EigenPair:
-    """EigenPair of the shooting solution interp (dense on [0, r_v]);
-    its z_at, zprime_at and mass_at read one state (z, m) on t clipped to
-    [0, r_v], and z_at pins z = 0 from r_v on."""
-    end = float(interp(r_v)[0])
-    if abs(end) > 1e-6:
-        raise NonConvergence(
-            f"shooting left a boundary mismatch z(r_v)={end:.3e}")
-
-    e = 1.0 / (p - 1.0)
+    edges = numerics.table_grid(r_v)
+    w = numerics.node_values(space.density, edges[:-1], np.diff(edges))
+    lam, u = _inverse_iteration(edges, w, p)
+    datum = lam * u ** (p - 1.0) * w
+    mass_table = numerics.MonotoneTable(None, r_v, values=datum)
+    slope_table = numerics.MonotoneTable(
+        None, r_v, values=_slope(numerics.node_integrals(datum, edges)[0],
+                                 w, p))
     dens = space.density
 
-    def slope(c, m):
-        # z' = sign(m) |m/w|^{1/(p-1)}; at the model's origin w = 0 and
-        # m = -0, so z'(0) = -0
-        w = np.asarray(dens(c), dtype=float)
-        return power_signed(m / np.where(w > 0.0, w, 1.0), e)
+    def clipped(t):
+        return np.clip(np.atleast_1d(np.asarray(t, dtype=float)), 0.0, r_v)
 
-    def state(t):
-        # (clipped t, z, m); m' = -lam * w * Phi_p(z) <= 0 from m(0) = -0,
-        # so m <= -0 exactly, which keeps z'(0) = -0 where the
-        # interpolant reads +0
-        c = np.clip(np.atleast_1d(np.asarray(t, dtype=float)), 0.0, r_v)
-        z, m = interp(c)
-        return c, z, np.where(m < 0.0, m, -0.0)
-
-    def pinned(c, z):
-        z[c >= r_v] = 0.0
-        return np.maximum(z, 0.0, out=z)
+    def mass(c):
+        # the table's Clenshaw sum at the pole is zero only to rounding
+        return np.where(c > 0.0, mass_table.cumulative(c), 0.0)
 
     def z_at(t):
-        c, z, _ = state(t)
-        z = pinned(c, z)
+        c = clipped(t)
+        z = slope_table.total - slope_table.cumulative(c)
+        z[c >= r_v] = 0.0
         return z if np.ndim(t) else float(z[0])
 
     def zprime_at(t):
-        c, _, m = state(t)
-        val = slope(c, m)
+        c = clipped(t)
+        val = -_slope(mass(c), np.asarray(dens(c), dtype=float), p)
         return val if np.ndim(t) else float(val[0])
 
     def mass_at(rho):
-        _, _, m = state(rho)
-        return -m if np.ndim(rho) else -float(m[0])
+        m = mass(clipped(rho))
+        return m if np.ndim(rho) else float(m[0])
 
-    # one state on the grid serves the negativity scan, w and wprime
     grid = numerics.cosine_grid(0.0, r_v, 2048)
-    c, z, m = state(grid)
-    raw = z[grid < r_v]
-    if raw.size and float(np.min(raw)) < -1e-6:
-        raise NonConvergence("eigenfunction went negative inside the domain")
-    sol = RadialSolution(grid=grid, w=pinned(c, z), wprime=slope(c, m),
+    sol = RadialSolution(grid=grid, w=z_at(grid), wprime=zprime_at(grid),
                          r1=r_v, w_at=z_at, wprime_at=zprime_at,
                          mass_at=mass_at)
-    return EigenPair(lam=lam, sol=sol, p=p, space=space, v=float(v),
-                     z_end=end)
+    return EigenPair(lam=lam, sol=sol, p=p, space=space, v=float(v))
 
 
 def model_eigenpair(K: float, N: float, p: float, v: float) -> EigenPair:
@@ -321,15 +265,14 @@ def alpha_from_lambda(up: EigenPair,
 
     up is the model eigenpair at the upper mass fraction v_upper = up.v,
     which the caller already holds; its space, p and v give the model,
-    the exponent and the upper bound.  The first zero of the model
-    shooting solution decreases strictly in lam, so the ball on which
-    lambda_target is the first eigenvalue ends at the first zero r0 of
-    the solution shot at lam = lambda_target, and alpha = H(r0).  One
-    integration on [0, r(v_upper)] finds it; no search over alpha and
-    no model eigenpair solve.  The same integration, up to r0, is the
-    returned pair, so its eigenvalue is lambda_target by construction.
-    A target within 1e-9 * target of up.lam, or under it by less than
-    the relative gate, returns v_upper and up itself; a target further
+    the exponent and the upper bound.  The ball on which lambda_target
+    is the first eigenvalue ends at the first zero r0 of the model
+    solution shot at lambda_target, and alpha = H(r0): one integration
+    on [0, r(v_upper)], with no search over alpha.  The returned pair is
+    first_eigenpair on that ball, so its eigenvalue matches the target
+    to the accuracy of the shot's zero, not by construction.  A target
+    within 1e-9 * target of up.lam, or under it by less than the
+    relative gate, returns v_upper and up itself; a target further
     below raises NoBracket, and a solution with no zero inside
     r(v_upper) raises NonConvergence.
     """
@@ -347,13 +290,13 @@ def alpha_from_lambda(up: EigenPair,
             or abs(up.lam - lambda_target) <= 1e-9 * lambda_target):
         return v_upper, up
 
-    r0, interp = _first_zero(model, p, lambda_target, up.r_alpha, True)
+    r0 = _first_zero(model, p, lambda_target, up.r_alpha)
     if not math.isfinite(r0):
         raise NonConvergence(
             f"model solution at lambda={lambda_target:.6g} has no zero "
             f"inside the ball of mass v_upper={v_upper}")
     alpha = float(model.cumulative(r0))
-    return alpha, _pair_from(model, p, lambda_target, alpha, r0, interp)
+    return alpha, first_eigenpair(model, alpha, p)
 
 
 def faber_krahn_check(space: WeightedInterval, v: float,
@@ -363,8 +306,22 @@ def faber_krahn_check(space: WeightedInterval, v: float,
         raise InvalidParameter("instance carries no curvature-dimension tag")
     K, N = space.cd
     zm = model_eigenpair(K, N, p, v)
-    zi = first_eigenpair(space, v, p, seed=zm.lam)
+    zi = first_eigenpair(space, v, p)
     return FaberKrahnResult(instance=zi, model=zm, margin=zi.lam - zm.lam)
+
+
+def eigenvalue_enclosure(pair: EigenPair) -> tuple[float, float]:
+    """Bounds (lam_lo, lam_hi) on the pair's eigenvalue by Picone's
+    identity: the min and max of (z / w)^{p-1} where z > 1e-3, with w
+    the explicit solution for the datum z^{p-1} on the pair's ball."""
+    e = pair.p - 1.0
+    datum = lambda t: np.asarray(pair.z_at(t), dtype=float) ** e
+    sol = solve_explicit(RadialProblem(pair.space, pair.p, datum,
+                                       pair.r_alpha))
+    z = np.asarray(pair.z_at(sol.grid), dtype=float)
+    keep = z > 1e-3
+    ratio = (z[keep] / sol.w[keep]) ** e
+    return float(np.min(ratio)), float(np.max(ratio))
 
 
 def _integral(pair: EigenPair, g) -> float:

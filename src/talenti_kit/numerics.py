@@ -19,7 +19,9 @@ Everything downstream leans on two primitives that live here:
   antiderivative, built from the same Kronrod node values.  The first
   cell follows a power law fitted to its nodes, the last integrates one
   Kronrod panel, and the inverse is a vectorized, per-point guarded
-  Newton iteration.
+  Newton iteration.  A table can also be built from node values on its
+  grid, and ``node_integrals`` gives the same cumulative at every node
+  straight from such values.
 
 Integrands passed to these kernels must accept numpy arrays and evaluate
 elementwise; none of the rules ever samples an interval endpoint, so
@@ -117,12 +119,35 @@ def _antiderivative_row(j: int) -> np.ndarray:
 # through the nodes; its value at 1 is the K15 sum.  Built from products
 # of roots, so no LAPACK call is made at import.
 _ANTIDERIV = np.array([_antiderivative_row(j) for j in range(15)])
+# Node values times this 15x15 map are the integrals over [-1, x_i] of
+# the same interpolant, one column per Kronrod node x_i.
+_NODE_ANTIDERIV = _cheb.chebval(_NODES, _ANTIDERIV.T)
 
 
-def _node_values(f, lefts: np.ndarray, widths: np.ndarray) -> np.ndarray:
+def node_values(f, lefts: np.ndarray, widths: np.ndarray) -> np.ndarray:
     """f at the 15 Kronrod nodes of each panel, one row per panel."""
     pts = lefts[:, None] + widths[:, None] * _OFFSETS[None, :]
     return np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
+
+
+def node_integrals(vals: np.ndarray, edges: np.ndarray,
+                   from_right: bool = False) -> tuple[np.ndarray, float]:
+    """Integrals at every node of the cellwise interpolant through the
+    node values vals of the cells between edges, and their total.
+
+    They run over [edges[0], x], or over [x, edges[-1]] when from_right
+    is set: the nodes are symmetric, so that is the integral from the
+    left of the mirrored values, and it keeps its relative accuracy
+    near edges[-1], where it is small.
+    """
+    half = 0.5 * np.diff(edges)
+    if from_right:
+        vals, half = vals[::-1, ::-1], half[::-1]
+    inc = half * np.einsum("ij,j->i", vals, _WEIGHTS_K)
+    before = np.concatenate([[0.0], np.cumsum(inc)])
+    at = before[:-1, None] + half[:, None] * np.einsum(
+        "ij,jk->ik", vals, _NODE_ANTIDERIV)
+    return (at[::-1, ::-1] if from_right else at), float(before[-1])
 
 
 def _panels(f, lefts: np.ndarray, rights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -134,7 +159,7 @@ def _panels(f, lefts: np.ndarray, rights: np.ndarray) -> tuple[np.ndarray, np.nd
     lefts = np.atleast_1d(np.asarray(lefts, dtype=float))
     rights = np.atleast_1d(np.asarray(rights, dtype=float))
     widths = rights - lefts
-    vals = _node_values(f, lefts, widths)
+    vals = node_values(f, lefts, widths)
     half = 0.5 * widths
     k15 = half * np.einsum("ij,j->i", vals, _WEIGHTS_K)
     g7 = half * np.einsum("ij,j->i", vals[:, _GAUSS_IDX], _WEIGHTS_G)
@@ -322,15 +347,39 @@ def _graded_grid(length: float) -> np.ndarray:
     return np.concatenate([[0.0], left, base[2:-2], right, [length]])
 
 
+def table_grid(length: float, knots=()) -> np.ndarray:
+    """Cell edges of a MonotoneTable on [0, length]: the _graded_grid
+    with the knots joined in, each interval split into two cells."""
+    base = _graded_grid(length)
+    pins = np.asarray(knots, dtype=float)
+    if pins.size:
+        # pin known kinks/jumps of the density to cell edges so no
+        # cell straddles them; cells stay spectrally accurate
+        if np.any(pins <= 0.0) or np.any(pins >= length):
+            raise InvalidParameter("knots must lie strictly inside (0, length)")
+        # keep a point only if its midpoint with the left neighbour
+        # lies strictly inside: a pin an ulp off a node makes no cell
+        base = np.sort(np.concatenate([base, pins]))
+        mid = 0.5 * (base[:-1] + base[1:])
+        base = base[np.r_[True, (base[:-1] < mid) & (mid < base[1:])]]
+    fine = np.empty(2 * base.size - 1)
+    fine[0::2] = base
+    fine[1::2] = 0.5 * (base[:-1] + base[1:])
+    return fine
+
+
 class MonotoneTable:
     """Tabulated cumulative of a positive density on [0, length].
 
-    The grid is the _graded_grid of _TABLE_CELLS cosine intervals with
-    _END_GRADES points grading each end, so a density behaving like a
-    power of the distance to an endpoint stays spectrally resolved in
-    every cell.  Pinned knots (known kinks or jumps) join the grid, and
-    each interval is split into two cells.  The density is evaluated
-    once at the 15 Kronrod nodes of every cell.  The Kronrod sums give
+    The grid is the table_grid: the _graded_grid of _TABLE_CELLS cosine
+    intervals with _END_GRADES points grading each end, so a density
+    behaving like a power of the distance to an endpoint stays
+    spectrally resolved in every cell, with pinned knots (known kinks or
+    jumps) joined in and each interval split into two cells.  The
+    density is evaluated once at the 15 Kronrod nodes of every cell, or
+    values gives those node values and density is None; such a table
+    sums its end cells like the others and has no inverse.  The
+    Kronrod sums give
     the table entries, and a fixed linear map turns the same values
     into the Chebyshev coefficients of each cell's antiderivative.  A
     pointwise value is the table entry at the nearest node below plus
@@ -353,33 +402,23 @@ class MonotoneTable:
     _NEWTON_ROUNDS rounds raise NonConvergence.
     """
 
-    def __init__(self, density, length: float, knots=()) -> None:
+    def __init__(self, density, length: float, knots=(),
+                 values=None) -> None:
         if not (length > 0.0 and math.isfinite(length)):
             raise InvalidParameter("length must be positive and finite")
         self.density = density
         self.length = float(length)
-        base = _graded_grid(self.length)
-        pins = np.asarray(knots, dtype=float)
-        if pins.size:
-            # pin known kinks/jumps of the density to cell edges so no
-            # cell straddles them; cells stay spectrally accurate
-            if np.any(pins <= 0.0) or np.any(pins >= self.length):
-                raise InvalidParameter("knots must lie strictly inside (0, length)")
-            # keep a point only if its midpoint with the left neighbour
-            # lies strictly inside: a pin an ulp off a node makes no cell
-            base = np.sort(np.concatenate([base, pins]))
-            mid = 0.5 * (base[:-1] + base[1:])
-            base = base[np.r_[True, (base[:-1] < mid) & (mid < base[1:])]]
-        fine = np.empty(2 * base.size - 1)
-        fine[0::2] = base
-        fine[1::2] = 0.5 * (base[:-1] + base[1:])
-        self._x = fine
-        widths = np.diff(fine)
-        vals = _node_values(density, fine[:-1], widths)
+        self._x = table_grid(self.length, knots)
+        widths = np.diff(self._x)
+        if values is None:
+            vals = node_values(density, self._x[:-1], widths)
+            # exponent k of the first cell's power law, 0.0 if none fits
+            self._k0 = _power_exponent(vals[0])
+        else:
+            vals = np.asarray(values, dtype=float)
+            self._k0 = 0.0
         half = 0.5 * widths
         inc = half * np.einsum("ij,j->i", vals, _WEIGHTS_K)
-        # exponent k of the first cell's power law, 0.0 if none fits
-        self._k0 = _power_exponent(vals[0])
         if self._k0:
             inc[0] = widths[0] * vals[0, -1] / (
                 _OFFSETS[-1] ** (self._k0 - 1.0) * self._k0)
@@ -399,6 +438,8 @@ class MonotoneTable:
         for row in self._coef[-2:0:-1]:
             b1, b2 = row[idx] + s2 * b1 - b2, b1
         out = self._coef[0, idx] + s * b1 - b2
+        if self.density is None:
+            return out
         kronrod = idx == self._x.size - 2
         if self._k0:
             first = idx == 0

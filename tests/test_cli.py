@@ -578,25 +578,26 @@ class TestSharedSolves:
                 if getattr(owner, name, None) is real:
                     monkeypatch.setattr(owner, name, counting)
 
-    def test_holder_solves_two_eigenpairs(self, tmp_path, monkeypatch):
-        # the model pair at v and the instance pair; the model pair at
-        # alpha comes from the integration that finds alpha
+    def test_holder_solves_three_eigenpairs(self, tmp_path, monkeypatch):
+        # the model pair at v, the instance pair and the model pair at
+        # alpha, each once
         calls = []
         self._count(monkeypatch, eigen, ["first_eigenpair"], calls)
         out = run_text(tmp_path, TestCallOrder.HOLDER)
         assert read_record(out, "hold")["status"] == "pass"
-        assert len(calls) == 2
+        assert len(calls) == 3
 
     def test_sweep_solves_one_model_pair(self, tmp_path, monkeypatch):
-        # the model pair at v once, then one instance pair per shift;
-        # every shift's alpha_from_lambda reuses the pair at v
+        # the model pair at v once, then per shift the instance pair and
+        # the model pair at alpha; every shift's alpha_from_lambda
+        # reuses the pair at v
         calls = []
         self._count(monkeypatch, eigen, ["first_eigenpair", "lp_norm"],
                     calls)
         out = run_text(tmp_path, TestCallOrder.SWEEP)
         assert read_record(out, "sweep")["status"] == "pass"
         names = [name for name, _ in calls]
-        assert names.count("first_eigenpair") == 4 + 1
+        assert names.count("first_eigenpair") == 1 + 2 * 4
         # per shift: both pairs at p - 1 and at each of the two Q
         assert names.count("lp_norm") == 4 * 2 * 3
 
@@ -623,28 +624,45 @@ class TestSharedSolves:
             assert len(ss) == 5 and 2.5 in ss
 
 
-class TestBoundaryZero:
-    """The eigen check gates the integrated z(r_v), not the pinned 0."""
+class TestEigenvalueEnclosure:
+    """The eigen check gates lam and its Picone bounds from an
+    independent explicit solve."""
 
     CAP = "[eig]\nkind = eigen\nK = 2\nN = 3\np = 2\nv = 0.4\na = 0.3\n"
 
     def _slack(self, tmp_path, extra=""):
         out = run_text(tmp_path, self.CAP + extra)
         word, *_, slack = read_record(out, "eig")[
-            "check.boundary-zero"].split()
+            "check.eigenvalue-enclosure"].split()
         return word, float(slack)
 
     def test_tiny_scale_fails(self, tmp_path):
         word, _ = self._slack(tmp_path, "tol_scale = 1e-30\n")
         assert word == "fail"
 
-    def test_slack_is_budget_minus_end_value(self, tmp_path):
+    def test_slack_is_budget_minus_enclosure_width(self, tmp_path):
         word, slack = self._slack(tmp_path)
         space = make_shifted_cap(2.0, 3.0, 0.3, 0.4)
-        z_end = eigen.faber_krahn_check(space, 0.4, 2.0).instance.z_end
+        pair = eigen.faber_krahn_check(space, 0.4, 2.0).instance
+        lo, hi = eigen.eigenvalue_enclosure(pair)
         assert word == "pass"
-        assert z_end != 0.0
-        assert slack == 1e-6 - abs(z_end)
+        assert lo <= hi
+        assert slack == 1e-10 - (max(hi, pair.lam)
+                                 - min(lo, pair.lam)) / pair.lam
+
+    @pytest.mark.parametrize("factor", [1.0 + 1e-8, 1.0 - 1e-8])
+    def test_perturbed_eigenvalue_fails(self, tmp_path, monkeypatch, factor):
+        real = cli.faber_krahn_check
+
+        def perturbed(*args):
+            fk = real(*args)
+            fk.instance.lam *= factor
+            return fk
+
+        monkeypatch.setattr(cli, "faber_krahn_check", perturbed)
+        word, slack = self._slack(tmp_path)
+        assert word == "fail"
+        assert slack < -0.9e-8
 
 
 class TestUnitMass:

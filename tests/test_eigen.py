@@ -1,9 +1,11 @@
-"""Eigenpair shooting, eigenvalue comparison and norm-ratio checks.
+"""Eigenpairs by inverse iteration, eigenvalue comparison and norm-ratio
+checks.
 
 The analytic anchor is the model with K = N-1 at half mass, where the
 first eigenfunction is cos(t) with eigenvalue N; everything else is
-cross-checked against the independent finite-element minimizer or pinned
-by frozen shooting values reproduced at build time.
+cross-checked against the independent finite-element minimizer, the
+Picone enclosure of an independent explicit solve, or pinned by frozen
+eigenvalues reproduced at build time.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from talenti_kit.eigen import (
     EigenPair,
     alpha_from_lambda,
     chiti_compare,
+    eigenvalue_enclosure,
     faber_krahn_check,
     first_eigenpair,
     lp_norm,
@@ -47,8 +50,8 @@ from talenti_kit.radial_poisson import (
 )
 from talenti_kit.talenti_check import make_shifted_cap, model_for
 
-# frozen shooting eigenvalues, reproduced by the FEM oracle to its
-# O(h^2) bias in the cross-check tests below
+# frozen eigenvalues, reproduced by the FEM oracle to its O(h^2) bias in
+# the cross-check tests below
 LAM_CAP_P15 = 3.0751053538814097
 LAM_CAP_P2 = 4.1252406292185455
 LAM_CAP_P3 = 6.007383560303177
@@ -66,7 +69,7 @@ def rayleigh_fem(space: WeightedInterval, v: float, p: float) -> float:
     stiffness matrix (gradient descent in the energy metric); without it
     the 1/h^2 stiffness spectrum forces micro-steps and the quotient
     creeps.  Cross-check only: first-order elements carry an O(h^2)
-    bias, far above the shooting accuracy.
+    bias, far above the accuracy of the inverse iteration.
     """
     if not (p > 1.0 and math.isfinite(p)):
         raise InvalidParameter(f"exponent p={p} must exceed 1")
@@ -169,7 +172,7 @@ class TestAnalyticAnchor:
     @pytest.mark.parametrize("N", [3.0, 4.0, 5.0])
     def test_half_mass_eigenvalue_is_dimension(self, N):
         pair = model_eigenpair(N - 1.0, N, 2.0, 0.5)
-        assert pair.lam == pytest.approx(N, rel=1e-7)
+        assert pair.lam == pytest.approx(N, rel=1e-13)
 
     @pytest.mark.parametrize("N", [3.0, 4.0, 5.0])
     def test_half_mass_eigenfunction_is_cosine(self, N):
@@ -298,19 +301,27 @@ class TestAlphaFromLambda:
         with pytest.raises(NoBracket):
             alpha_from_lambda(up, 0.5 * up.lam)
 
-    def test_one_integration_no_eigenpair_solve(self, monkeypatch):
+    def test_one_integration_one_eigenpair_solve(self, monkeypatch):
+        # one shot finds alpha, one first_eigenpair call on that ball
         up = model_eigenpair(2.0, 3.0, 2.0, 0.6)
-        calls = []
-        real = eigen.first_eigenpair
+        calls, shots = [], []
+        real, ivp = eigen.first_eigenpair, eigen.solve_ivp
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
+        def shooting(*args, **kwargs):
+            shots.append(1)
+            return ivp(*args, **kwargs)
+
         monkeypatch.setattr(eigen, "first_eigenpair", counting)
-        alpha, _ = alpha_from_lambda(up, 1.5 * up.lam)
+        monkeypatch.setattr(eigen, "solve_ivp", shooting)
+        alpha, z = alpha_from_lambda(up, 1.5 * up.lam)
         assert 0.0 < alpha < 0.6
-        assert calls == []
+        assert len(shots) == 1
+        assert calls == [(up.space, alpha, 2.0)]
+        assert z.v == alpha
 
     @pytest.mark.parametrize("a", [0.05, 0.3])
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -321,39 +332,22 @@ class TestAlphaFromLambda:
         alpha, z = alpha_from_lambda(up, target)
         fresh = model_eigenpair(2.0, 3.0, p, alpha)
         assert abs(fresh.lam - target) <= 1e-11 * target
-        # the returned pair is the model pair at alpha, with the target
-        # as its eigenvalue by construction
-        assert z.lam == target
+        # the returned pair is the model pair at alpha
+        assert z.lam == fresh.lam
         assert z.v == alpha
         grid = fresh.sol.grid
         assert np.max(np.abs(z.z_at(grid) - fresh.sol.w)) <= 1e-10
 
     def test_no_zero_inside_raises(self, monkeypatch):
         up = model_eigenpair(2.0, 3.0, 2.0, 0.6)
-        monkeypatch.setattr(eigen, "_first_zero",
-                            lambda *args: (math.inf, None))
+        monkeypatch.setattr(eigen, "_first_zero", lambda *args: math.inf)
         with pytest.raises(NonConvergence):
             alpha_from_lambda(up, 2.0 * up.lam)
 
-    def test_shooting_without_zero_raises_within_budget(self, cap,
-                                                        monkeypatch):
-        # no zero before the horizon at any lam: the search doubles lam
-        # until its solve budget runs out, then raises
-        calls = []
-
-        def no_zero(*args):
-            calls.append(args[2])
-            return math.inf, None
-
-        monkeypatch.setattr(eigen, "_first_zero", no_zero)
-        with pytest.raises(NonConvergence):
-            first_eigenpair(cap, 0.4, 2.0)
-        assert len(calls) == eigen._SHOOTING_SOLVES
-        assert all(b == 2.0 * a for a, b in zip(calls, calls[1:]))
-
 
 class TestShootingSolves:
-    """The secant on log r0 against log lam settles in a few solves."""
+    """first_eigenpair makes no solve_ivp call, seeded or not, and its
+    inverse iteration settles across dimensions and exponents."""
 
     @staticmethod
     def _counted(monkeypatch):
@@ -373,8 +367,7 @@ class TestShootingSolves:
         seed = model_eigenpair(2.0, 3.0, p, 0.4).lam
         calls = self._counted(monkeypatch)
         first_eigenpair(cap, 0.4, p, seed=seed)
-        # the final dense solve included
-        assert len(calls) <= 8
+        assert calls == []
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_seed_far_off_gives_the_same_eigenvalue(self, cap, p):
@@ -388,7 +381,7 @@ class TestShootingSolves:
     def test_default_seed_within_eight_solves(self, p, monkeypatch):
         calls = self._counted(monkeypatch)
         first_eigenpair(model_for(2.0, 3.0), 0.4, p)
-        assert len(calls) <= 8
+        assert calls == []
 
     @pytest.mark.parametrize("v", [0.1, 0.5, 0.9])
     def test_high_dimensional_model_converges(self, v):
@@ -398,13 +391,30 @@ class TestShootingSolves:
         assert pair.lam == pytest.approx(fem, rel=1e-3)
 
     def test_near_full_mass_settles(self, monkeypatch):
-        # r0 barely moves with lam near the end of the segment, where a
-        # secant through two low values overshoots by orders of magnitude
+        # near the end of the segment, where the first zero of a shot
+        # barely moves with lam
         cap = make_shifted_cap(2.0, 3.0, 0.1, 0.99)
         calls = self._counted(monkeypatch)
         lam = first_eigenpair(cap, 0.99, 1.5).lam
-        assert len(calls) <= 12
+        assert calls == []
         assert rayleigh_fem(cap, 0.99, 1.5) == pytest.approx(lam, rel=1e-3)
+
+    @pytest.mark.parametrize("K,N,p,v", [(19.0, 20.0, 1.5, 0.5),
+                                         (19.0, 20.0, 1.5, 0.1),
+                                         (9.0, 10.0, 1.1, 0.5),
+                                         (19.0, 20.0, 1.1, 0.5)])
+    def test_high_dimension_and_small_p_pairs(self, K, N, p, v):
+        # the density ~t^{N-1} underflows in the graded cells near the
+        # pole, and p near 1 raises the flux ratio to a high power
+        pair = model_eigenpair(K, N, p, v)
+        assert abs(pair.rayleigh() - pair.lam) <= 1e-10 * pair.lam
+        lo, hi = eigenvalue_enclosure(pair)
+        assert max(hi, pair.lam) - min(lo, pair.lam) <= 1e-10 * pair.lam
+
+    def test_unsettled_iteration_raises(self, cap, monkeypatch):
+        monkeypatch.setattr(eigen, "_ITERATIONS", 3)
+        with pytest.raises(NonConvergence, match="after 3 steps"):
+            first_eigenpair(cap, 0.4, 2.0)
 
 
 class TestFaberKrahn:
@@ -471,7 +481,7 @@ class TestChiti:
                              wprime=base.wprime, r1=base.r1,
                              w_at=w_at, wprime_at=base.wprime_at,
                              mass_at=base.mass_at)
-        bumped = EigenPair(z.lam, sol, 2.0, z.space, z.v, z.z_end)
+        bumped = EigenPair(z.lam, sol, 2.0, z.space, z.v)
         with pytest.raises(NoCrossing):
             chiti_compare(bumped, z, 1.0)
 
@@ -619,7 +629,7 @@ class TestMassCoordinateDerivative:
 
 class TestProfileState:
     """z_at, zprime_at and mass_at (the solution's w_at, wprime_at and
-    mass_at) read one (z, m) state."""
+    mass_at) clip t to [0, r_v] and agree between scalars and arrays."""
 
     @staticmethod
     def _points(pair):
@@ -652,28 +662,6 @@ class TestProfileState:
         assert self._bits(pair.sol.mass_at(past)) == self._bits(
             np.full(3, pair.sol.mass_at(r_v)))
         assert pair.zprime_at(r_v) < 0.0 < pair.sol.mass_at(r_v)
-
-    def test_pair_reads_the_interpolant_twice(self, cap, monkeypatch):
-        # once for z(r_v), once on the output grid for the negativity
-        # scan, w and wprime together
-        counts = []
-        real = eigen._pair_from
-
-        def counting(*args):
-            *head, interp = args
-            calls = []
-
-            def wrapped(t):
-                calls.append(1)
-                return interp(t)
-
-            pair = real(*head, wrapped)
-            counts.append(len(calls))
-            return pair
-
-        monkeypatch.setattr(eigen, "_pair_from", counting)
-        first_eigenpair(cap, 0.4, 2.0)
-        assert counts and all(n == 2 for n in counts)
 
     def test_origin_slope_is_negative_zero(self, model_pair_p2):
         zp = model_pair_p2.zprime_at(0.0)
