@@ -142,11 +142,6 @@ class ModelSpace(WeightedInterval):
     def density(self, t):
         """Normalized density h(t); zero at both endpoints by continuity."""
         slack = 1e-12 * self.L
-        if isinstance(t, float):
-            # scalar path for the shooting RHS: math.sin, no array setup
-            if t < -slack or t > self.L + slack:
-                raise OutOfDomain(f"density argument outside [0, {self.L}]")
-            return self._raw(max(t, 0.0)) / self.c
         arr = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(arr < -slack) or np.any(arr > self.L + slack):
             raise OutOfDomain(f"density argument outside [0, {self.L}]")

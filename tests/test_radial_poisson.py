@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from talenti_kit import cli, numerics
 from talenti_kit.errors import (
     IntegrabilityFailure,
     InvalidParameter,
@@ -129,6 +130,51 @@ class TestMassFormAgreement:
         alt = solve_mass_form(prob, fsharp)
         gap = np.max(np.abs(np.asarray(sol.w_at(alt.grid)) - alt.w))
         assert gap <= 1e-8
+
+
+MASS_CASES = [(a, ftext, p, v) for a in (0.0, 0.3)
+              for ftext in ("const 1", "twolevel 2 0.5 0.25")
+              for p in (1.5, 2.0, 3.0) for v in (0.3, 0.5, 0.7)]
+MASS_IDS = [f"a{a:g}-{ftext.split()[0]}-p{p:g}-v{v:g}"
+            for a, ftext, p, v in MASS_CASES]
+
+
+@pytest.fixture(scope="module", params=MASS_CASES, ids=MASS_IDS)
+def mass_case(request):
+    """Problem, explicit solve and mass step of one (K=2, N=3) case."""
+    a, ftext, p, v = request.param
+    spec = cli._parse_source("mass", ftext)
+    params = {"K": 2.0, "N": 3.0, "p": p, "v": v, "a": a, "f": spec}
+    space, r1, prob, sol = cli._solve(params)
+    return prob, sol, spec.mass_step(space, r1)
+
+
+class TestMassTable:
+    """The mass route reads one table in mass coordinates: its nodes and
+    exact slope meet solve_explicit at rounding level."""
+
+    def test_node_values(self, mass_case):
+        prob, sol, sharp = mass_case
+        alt = solve_mass_form(prob, sharp)
+        gap = np.max(np.abs(np.asarray(sol.w_at(alt.grid)) - alt.w))
+        assert gap <= 1e-13 * max(1.0, float(np.max(np.abs(alt.w))))
+
+    def test_slope_between_nodes(self, mass_case):
+        prob, sol, sharp = mass_case
+        alt = solve_mass_form(prob, sharp)
+        xs = np.linspace(0.0, prob.r1, 1001)[:-1] + 0.5e-3 * prob.r1
+        gap = np.max(np.abs(alt.wprime_at(xs) - sol.wprime_at(xs)))
+        assert gap <= 1e-13
+
+    def test_no_adaptive_quadrature(self, mass_case, monkeypatch):
+        prob, _, sharp = mass_case
+        calls = []
+        plain = numerics.integrate
+        monkeypatch.setattr(numerics, "integrate",
+                            lambda *a, **k: calls.append(a) or plain(*a, **k))
+        solve_mass_form(prob, sharp)
+        gradient_norm_mass(prob, sharp, prob.p)
+        assert calls == []
 
 
 class TestWeakForm:
