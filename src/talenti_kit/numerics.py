@@ -18,10 +18,11 @@ Everything downstream leans on two primitives that live here:
   nearest node plus one Clenshaw sum of the cell's Chebyshev
   antiderivative, built from the same Kronrod node values.  The first
   cell follows a power law fitted to its nodes, the last integrates one
-  Kronrod panel, and the inverse is a vectorized, per-point guarded
-  Newton iteration.  A table can also be built from node values on its
-  grid, and ``node_integrals`` gives the same cumulative at every node
-  straight from such values.
+  Kronrod panel.  The inverse is closed-form in a power-law first cell
+  and a vectorized, per-point guarded Newton iteration elsewhere.  A
+  table keeps its cell edges and node values, can also be built from
+  node values on its grid, and ``node_integrals`` gives the same
+  cumulative at every node straight from such values.
 
 Integrands passed to these kernels must accept numpy arrays and evaluate
 elementwise; none of the rules ever samples an interval endpoint, so
@@ -378,19 +379,22 @@ class MonotoneTable:
     jumps) joined in and each interval split into two cells.  The
     density is evaluated once at the 15 Kronrod nodes of every cell, or
     values gives those node values and density is None; such a table
-    sums its end cells like the others and has no inverse.  The
-    Kronrod sums give
-    the table entries, and a fixed linear map turns the same values
-    into the Chebyshev coefficients of each cell's antiderivative.  A
+    sums its end cells like the others and has no inverse.  The table
+    keeps the cell edges and the node values, read-only, as edges and
+    values, so an integral of any function of the density over the same
+    cells is one Kronrod node sum.  The Kronrod sums give the table
+    entries, and a fixed linear map turns the same values into the
+    Chebyshev coefficients of each cell's antiderivative.  A
     pointwise value is the table entry at the nearest node below plus
     one Clenshaw sum in that cell, with no density call.  The first
     cell holds the cumulative c*t**k whose density passes through its
     outermost nodes: a Kronrod sum of a power law there loses relative
     accuracy that every later entry would inherit.  A first cell that
     fits no such law, and the last cell, integrate one Kronrod panel
-    over the remainder instead.  The inverse runs, _INVERSE_BLOCK
-    points at a time, a vectorized
-    guarded Newton iteration inside the bracketing cell on the same
+    over the remainder instead.  The inverse of a power-law first cell
+    is its closed form t = x1 * (v/c1)**(1/k).  Elsewhere the inverse
+    runs, _INVERSE_BLOCK points at a time, a vectorized guarded Newton
+    iteration inside the bracketing cell on the same
     sums, with the density as the derivative.  Each point starts from a
     power-law guess fitted to its cell, exact when the cell cumulative
     is c*(t - lo)**k; the fit samples the density at the cell's right
@@ -408,15 +412,18 @@ class MonotoneTable:
             raise InvalidParameter("length must be positive and finite")
         self.density = density
         self.length = float(length)
-        self._x = table_grid(self.length, knots)
-        widths = np.diff(self._x)
+        self.edges = table_grid(self.length, knots)
+        widths = np.diff(self.edges)
         if values is None:
-            vals = node_values(density, self._x[:-1], widths)
+            vals = node_values(density, self.edges[:-1], widths)
             # exponent k of the first cell's power law, 0.0 if none fits
             self._k0 = _power_exponent(vals[0])
         else:
             vals = np.asarray(values, dtype=float)
             self._k0 = 0.0
+        # read-only; the view leaves a caller's values array writeable
+        self.values = vals.view()
+        self.edges.flags.writeable = self.values.flags.writeable = False
         half = 0.5 * widths
         inc = half * np.einsum("ij,j->i", vals, _WEIGHTS_K)
         if self._k0:
@@ -430,8 +437,8 @@ class MonotoneTable:
 
     def _increment(self, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Integral of the density over [x[idx], t] for t in cell idx."""
-        x0 = self._x[idx]
-        s = 2.0 * (t - x0) / (self._x[idx + 1] - x0) - 1.0
+        x0 = self.edges[idx]
+        s = 2.0 * (t - x0) / (self.edges[idx + 1] - x0) - 1.0
         # Clenshaw's recurrence, gathering one coefficient row at a time
         s2 = 2.0 * s
         b1, b2 = self._coef[-1, idx], 0.0
@@ -440,10 +447,10 @@ class MonotoneTable:
         out = self._coef[0, idx] + s * b1 - b2
         if self.density is None:
             return out
-        kronrod = idx == self._x.size - 2
+        kronrod = idx == self.edges.size - 2
         if self._k0:
             first = idx == 0
-            out[first] = self._c[1] * (t[first] / self._x[1]) ** self._k0
+            out[first] = self._c[1] * (t[first] / self.edges[1]) ** self._k0
         else:
             kronrod |= idx == 0
         end = np.flatnonzero(kronrod)
@@ -458,8 +465,8 @@ class MonotoneTable:
         if np.any(arr < -slack) or np.any(arr > self.length + slack):
             raise OutOfDomain(f"cumulative argument outside [0, {self.length}]")
         clipped = np.clip(arr, 0.0, self.length)
-        idx = np.clip(np.searchsorted(self._x, clipped, side="right") - 1,
-                      0, self._x.size - 2)
+        idx = np.clip(np.searchsorted(self.edges, clipped, side="right") - 1,
+                      0, self.edges.size - 2)
         out = self._c[idx] + self._increment(idx, clipped)
         out = np.clip(out, 0.0, self.total)
         return out if np.ndim(t) else float(out[0])
@@ -473,6 +480,14 @@ class MonotoneTable:
         clipped = np.clip(arr, 0.0, self.total)
         out = np.where(clipped >= self.total, self.length, clipped)
         live = np.flatnonzero((clipped > 0.0) & (clipped < self.total))
+        if self._k0:
+            # the first cell's cumulative c*t**k inverts in closed form;
+            # Newton there, with the density as its derivative, need not
+            # agree with the fitted law and can fail to settle
+            first = live[clipped[live] < self._c[1]]
+            out[first] = self.edges[1] * (
+                clipped[first] / self._c[1]) ** (1.0 / self._k0)
+            live = live[clipped[live] >= self._c[1]]
         # Newton settles each point on its own, so solving in blocks
         # bounds the working arrays without changing a bit of the output
         for lo in range(0, live.size, _INVERSE_BLOCK):
@@ -483,8 +498,8 @@ class MonotoneTable:
     def _solve(self, target: np.ndarray) -> np.ndarray:
         """Guarded Newton for targets strictly inside (0, total)."""
         idx = np.searchsorted(self._c, target, side="right") - 1
-        lo = self._x[idx]
-        hi = self._x[idx + 1]
+        lo = self.edges[idx]
+        hi = self.edges[idx + 1]
         base = self._c[idx]
         mass = self._c[idx + 1] - base
         width = hi - lo

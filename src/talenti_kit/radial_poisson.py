@@ -94,6 +94,10 @@ class RadialSolution:
 
     mass_at exposes the cumulative source mass M(rho) = int_0^rho f dm
     used by the solve, so downstream identities can reuse it exactly.
+    slope is the MonotoneTable of |w'| on [0, r1] whose total minus
+    cumulative is w, with |w'| kept at its Kronrod nodes: gradient norms
+    are node sums over its cells and level radii its inverse.  Only
+    solve_explicit builds one; other solutions carry None.
     """
 
     grid: np.ndarray
@@ -103,6 +107,7 @@ class RadialSolution:
     w_at: Callable
     wprime_at: Callable
     mass_at: Callable
+    slope: numerics.MonotoneTable | None = None
 
 
 def _slope_factory(prob: RadialProblem, mass_at: Callable):
@@ -177,8 +182,8 @@ def solve_explicit(prob: RadialProblem,
     if not np.all(np.isfinite(w)):
         raise IntegrabilityFailure("solution values are not finite")
     return RadialSolution(grid=grid, w=w, wprime=-np.asarray(slope(grid)),
-                          r1=prob.r1, w_at=w_at,
-                          wprime_at=wprime_at, mass_at=mass_at)
+                          r1=prob.r1, w_at=w_at, wprime_at=wprime_at,
+                          mass_at=mass_at, slope=slope_table)
 
 
 def _mass_ratio(space: WeightedInterval, fsharp: StepFunction, sigma):
@@ -287,12 +292,22 @@ def weak_residual(sol: RadialSolution, prob: RadialProblem) -> float:
 
 
 def gradient_norm(sol: RadialSolution, prob: RadialProblem, r: float) -> float:
-    """Physical-coordinate integral of |w'|^r against the weighted measure."""
+    """Physical-coordinate integral of |w'|^r against the weighted measure.
+
+    A Kronrod node sum over the cells of sol.slope, which holds |w'| at
+    their nodes: the cells grade into both ends and have the source's
+    knots pinned, so one density batch at the nodes gives the integral
+    with no slope evaluation and no adaptive quadrature.  A solution
+    without a slope table raises InvalidParameter.
+    """
     check_exponent("gradient norm exponent r", r)
-    integrand = lambda t: np.abs(sol.wprime_at(t)) ** r * \
-        np.asarray(prob.space.density(t), dtype=float)
-    return numerics.integrate(integrand, 0.0, prob.r1,
-                              numerics.Tolerance(rel=1e-10, abs=1e-14))
+    table = sol.slope
+    if table is None:
+        raise InvalidParameter(
+            "gradient_norm needs the slope table that solve_explicit builds")
+    dens = numerics.node_values(prob.space.density, table.edges[:-1],
+                                np.diff(table.edges))
+    return numerics.node_integrals(table.values ** r * dens, table.edges)[1]
 
 
 def gradient_norm_mass(prob: RadialProblem, fsharp: StepFunction,

@@ -188,15 +188,12 @@ def _source_cumulative(inst: ProblemInstance, u: RadialSolution, step):
 
 
 def _radius_of_level(u: RadialSolution, levels: np.ndarray) -> np.ndarray:
-    """Vectorized inverse of the nonincreasing solution profile."""
-    lo = np.zeros_like(levels)
-    hi = np.full_like(levels, u.r1)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        above = np.asarray(u.w_at(mid), dtype=float) > levels
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    return 0.5 * (lo + hi)
+    """Radii where the nonincreasing solution takes the given levels:
+    w = total - cumulative of the slope table, so one table inverse."""
+    if u.slope is None:
+        raise InvalidParameter(
+            "level radii need the slope table that solve_explicit builds")
+    return u.slope.inverse(u.slope.total - levels)
 
 
 def run_comparison(inst: ProblemInstance,
@@ -292,7 +289,9 @@ def levy_gromov_radial(inst: ProblemInstance, u: RadialSolution,
     Superlevel sets of a nonincreasing radial function are intervals
     [0, rho_t), so their perimeter is the instance density at rho_t;
     isoperimetry says the ratio to the model profile at the same mass
-    never drops below 1.  Levels at or above sup u are skipped.
+    never drops below 1.  Levels at or above sup u are skipped.  The
+    radii rho_t come from one inverse of u's slope table, so u must come
+    from solve_explicit; a solution without one raises InvalidParameter.
     """
     lv = np.atleast_1d(np.asarray(levels, dtype=float))
     if np.any(lv < 0.0):

@@ -118,6 +118,23 @@ class TestMonotoneTable:
     def test_total_is_one(self):
         assert self.table.total == pytest.approx(1.0, abs=1e-13)
 
+    def test_keeps_read_only_edges_and_node_values(self):
+        # an integral over the table's cells is one node sum
+        table = self.table
+        assert not table.edges.flags.writeable
+        assert not table.values.flags.writeable
+        nodes = table.edges[:-1, None] + np.diff(table.edges)[:, None] * \
+            numerics._OFFSETS
+        assert np.array_equal(table.values,
+                              np.sin(nodes) ** 2 * (2.0 / math.pi))
+        total = numerics.node_integrals(table.values, table.edges)[1]
+        assert total == pytest.approx(1.0, abs=1e-13)
+
+    def test_values_array_stays_writeable(self):
+        vals = np.ones((numerics.table_grid(1.0).size - 1, 15))
+        MonotoneTable(None, 1.0, values=vals)
+        assert vals.flags.writeable
+
     def test_inverse_round_trip(self):
         vs = np.linspace(0.0, 1.0, 23)
         ts = self.table.inverse(vs)
@@ -186,7 +203,7 @@ class TestMonotoneTable:
         assert calls == []
         # the first cell follows its fitted power law; the last integrates
         # a Kronrod panel over the remainder
-        x = table._x
+        x = table.edges
         table.cumulative(np.array([x[1] / 2.0, 0.5 * (x[-2] + x[-1])]))
         assert len(calls) == 1
 
@@ -229,14 +246,14 @@ class TestGradedTable:
 
     def test_table_without_knots_is_small(self):
         table = MonotoneTable(np.sin, math.pi)
-        assert table._x.size - 1 <= 300
+        assert table.edges.size - 1 <= 300
 
     @pytest.mark.parametrize("length", [1e-3, 1.0, math.pi, 1e3])
     def test_cells_have_positive_width(self, length):
         # grading points that would round onto the right end are dropped
         table = MonotoneTable(lambda t: np.ones_like(np.asarray(t)), length)
-        assert np.all(np.diff(table._x) > 0.0)
-        assert table._x[0] == 0.0 and table._x[-1] == length
+        assert np.all(np.diff(table.edges) > 0.0)
+        assert table.edges[0] == 0.0 and table.edges[-1] == length
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.1, 1.0 / 9.0, 0.5, 2.0])
     def test_power_law_masses_relative_down_to_tiny_masses(self, alpha):
@@ -252,10 +269,10 @@ class TestGradedTable:
     @pytest.mark.parametrize("side", [-1.0, 1.0])
     def test_pin_one_ulp_from_a_node_makes_no_empty_cell(self, side):
         # base nodes sit at the even fine-grid positions
-        node = MonotoneTable(np.sin, math.pi)._x[40]
+        node = MonotoneTable(np.sin, math.pi).edges[40]
         pin = float(np.nextafter(node, node + side))
         table = MonotoneTable(np.sin, math.pi, knots=(pin,))
-        assert np.all(np.diff(table._x) > 0.0)
+        assert np.all(np.diff(table.edges) > 0.0)
         ts = np.concatenate([np.linspace(0.0, math.pi, 1001), [node, pin]])
         err = np.max(np.abs(table.cumulative(ts) - (1.0 - np.cos(ts))))
         assert err <= 1e-14

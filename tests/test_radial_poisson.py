@@ -262,7 +262,7 @@ class TestGradientNorms:
             phys = gradient_norm(sol, prob, r)
             assert phys == pytest.approx(expect, rel=1e-9)
             mass = gradient_norm_mass(prob, fsharp, r)
-            assert abs(phys - mass) <= 1e-6 * abs(phys)
+            assert abs(phys - mass) <= 1e-13 * abs(phys)
 
     @pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan, 0.0])
     def test_exponent_must_be_positive_and_finite(self, half_ball_p2, r):
@@ -280,7 +280,44 @@ class TestGradientNorms:
         for r in [1.0, 2.0, 3.0]:
             phys = gradient_norm(sol, prob, r)
             mass = gradient_norm_mass(prob, fsharp, r)
-            assert abs(phys - mass) <= 1e-6 * abs(phys)
+            assert abs(phys - mass) <= 1e-13 * abs(phys)
+
+    @pytest.mark.parametrize("r", [1.0, 2.0])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("where", ["model", "cap"])
+    def test_node_sum_matches_knot_split_quadrature(self, model23, where,
+                                                    p, r):
+        # the reference is the adaptive integral of |w'|^r dm, split at
+        # the source's jump
+        space = model23 if where == "model" else make_shifted_cap(
+            2.0, 3.0, 0.3, 0.4)
+        r1 = float(space.inverse_cumulative(0.4))
+        f = lambda t: np.where(np.asarray(t, dtype=float) < 0.3, 2.0, 0.5)
+        prob = RadialProblem(space, p, f, r1, f_knots=(0.3,))
+        sol = solve_explicit(prob)
+        integrand = lambda t: np.abs(sol.wprime_at(t)) ** r * \
+            np.asarray(space.density(t), dtype=float)
+        qtol = Tolerance(rel=1e-14, abs=1e-300)
+        ref = integrate(integrand, 0.0, 0.3, qtol) + \
+            integrate(integrand, 0.3, r1, qtol)
+        assert gradient_norm(sol, prob, r) == pytest.approx(ref, rel=1e-13)
+
+    def test_no_adaptive_quadrature(self, half_ball_p2, monkeypatch):
+        # a node sum over the cells of the solution's slope table
+        prob, sol = half_ball_p2
+        calls = []
+        plain = numerics.integrate
+        monkeypatch.setattr(numerics, "integrate",
+                            lambda *a, **k: calls.append(a) or plain(*a, **k))
+        gradient_norm(sol, prob, 1.5)
+        assert calls == []
+
+    def test_needs_the_slope_table(self, half_ball_p2):
+        prob, _ = half_ball_p2
+        alt = solve_mass_form(prob, StepFunction([prob.mass], [1.0, 0.0]))
+        assert alt.slope is None
+        with pytest.raises(InvalidParameter, match="slope table"):
+            gradient_norm(alt, prob, 1.5)
 
 
 class TestPowerSigned:

@@ -6,6 +6,7 @@ radial solutions; the K=2, N=3 model has H(t) = (t - sin t cos t)/pi.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,12 @@ from talenti_kit.errors import (
     InvalidParameter,
     InvalidShift,
 )
-from talenti_kit.radial_poisson import WeightedInterval, solve_explicit
+from talenti_kit.radial_poisson import (
+    RadialProblem,
+    WeightedInterval,
+    gradient_norm_mass,
+    solve_explicit,
+)
 from talenti_kit.talenti_check import (
     ProblemInstance,
     levy_gromov_radial,
@@ -239,6 +245,13 @@ class TestLevyGromov:
         with pytest.raises(InvalidParameter):
             levy_gromov_radial(inst, u, [-0.5])
 
+    def test_needs_the_slope_table(self, model_interval):
+        # level radii are one inverse of the slope table
+        inst = ProblemInstance(model_interval, 2.0, ONES, 0.5, label="model")
+        u = dataclasses.replace(solve_explicit(inst.problem()), slope=None)
+        with pytest.raises(InvalidParameter, match="slope table"):
+            levy_gromov_radial(inst, u, [0.5 * float(u.w_at(0.0))])
+
 
 DECREASING = lambda t: np.where(np.asarray(t, dtype=float) < 0.45, 1.0, 0.35)
 INCREASING = lambda t: np.where(np.asarray(t, dtype=float) < 0.5, 0.35, 1.0)
@@ -276,6 +289,54 @@ class TestChainClosedForm:
         else:
             assert np.min(chain) >= 1.0 - 1e-12
         assert np.min(lg) == levy_gromov_radial(inst, u, levels)
+
+
+class TestSlopeTableRoute:
+    """Gradient norms and level radii read the slope table of each solve,
+    with every knot of the source pinned to its cell edges."""
+
+    def test_model_side_gradient_norm_matches_mass_route(self):
+        # the increasing step rearranges into a step with two jumps 2e-3
+        # apart near rho = 1.435 on the model; one adaptive quadrature
+        # over [0, r_v] missed the plateau between them by 7.9e-6
+        f = lambda t: np.where(np.asarray(t, dtype=float) < 0.3, 0.5, 2.0)
+        inst = ProblemInstance(model_for(3.0, 4.0), 2.0, f, 0.4,
+                               label="model", f_knots=(0.3,))
+        rep = run_comparison(inst, r_list=[1.0, 1.5, 2.0])
+        _, step, _ = talenti_check._rearranged_source(inst)
+        prob_w = RadialProblem(inst.model, 2.0, ONES, inst.model_radius)
+        for r, (_, rhs) in rep.gradient_gaps.items():
+            mass = gradient_norm_mass(prob_w, step, r)
+            assert abs(rhs - mass) <= 1e-12 * mass
+
+    def test_run_comparison_makes_no_adaptive_quadrature(
+            self, model_interval, cap, monkeypatch):
+        calls = []
+        plain = numerics.integrate
+        monkeypatch.setattr(numerics, "integrate",
+                            lambda *a, **k: calls.append(a) or plain(*a, **k))
+        for space, v, label in ((model_interval, 0.5, "model"),
+                                (cap, 0.4, "shifted-cap")):
+            run_comparison(ProblemInstance(space, 2.0, DECREASING, v,
+                                           label=label, f_knots=(0.45,)))
+        assert calls == []
+
+    def test_tiny_shift_inverts_the_first_cell(self):
+        # the first table cell of a cap shifted by 4e-16 holds these
+        # masses; Newton on its fitted power law never settled there
+        cap = make_shifted_cap(2.0, 3.0, 4e-16, 0.5)
+        targets = np.array([8.4e-53, 1.8e-50, 4.5e-45])
+        back = np.asarray(cap.cumulative(cap.inverse_cumulative(targets)))
+        assert np.all(np.abs(back - targets) <= 1e-14 * targets)
+
+    def test_tiny_shift_comparison_holds(self):
+        cap = make_shifted_cap(2.0, 3.0, 4e-16, 0.5)
+        rep = run_comparison(ProblemInstance(cap, 2.0, ONES, 0.5,
+                                             label="shifted-cap"), n_check=256)
+        assert rep.pointwise_violation <= 1e-8 + rep.grid_bound
+        assert all(lhs <= rhs + 1e-8
+                   for lhs, rhs in rep.gradient_gaps.values())
+        assert rep.levy_gromov_min_ratio >= 1.0 - 1e-8
 
 
 class TestPropertySweep:
