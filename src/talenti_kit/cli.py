@@ -542,8 +542,7 @@ def _run_talenti(sc: Scenario, scale: float):
                            f_knots=spec.knots)
     rep = run_comparison(inst, r_list=params["r_list"], n_check=params["n"])
     checks = [
-        _check("pointwise", 1e-8 * scale + rep.grid_bound
-               - rep.pointwise_violation),
+        _check("pointwise", 1e-8 * scale - rep.pointwise_violation),
         _check("levy-gromov",
                rep.levy_gromov_min_ratio - 1.0 + 1e-8 * scale),
     ]

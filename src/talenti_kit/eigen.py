@@ -11,7 +11,9 @@ method (Biezuner, Ercole and Martins, J. Funct. Anal. 257, 2009): each
 step is the explicit radial solve u_{k+1}(rho) = int_rho^{r_v}
 (M_k / w)^{1/(p-1)} with M_k(rho) = int_0^rho u_k^{p-1} dm, and by
 Picone's identity (Allegretto and Huang, Nonlinear Anal. 32, 1998) the
-min and max of (u_k / u_{k+1})^{p-1} enclose lam.
+min and max of (u_k / u_{k+1})^{p-1} enclose lam.  The pair keeps the
+slope |z'| at the Kronrod nodes of its grid as sol.slope, so its norms
+and Rayleigh quotient are node sums.
 
 alpha_from_lambda inverts the model eigenvalue curve v -> lambda(v) by
 one shot of the first-order system for z and the flux m = w * Phi_p(z'),
@@ -30,7 +32,8 @@ symmetrized eigenfunction, reverse Hoelder norm ratios and the norm
 deficit used as a closeness diagnostic.  Model eigenpairs are solved on
 the shared model_for segment and not memoized: a caller that needs the
 pair at v again holds on to it, so scenarios share nothing but the
-read-only model.
+read-only model.  faber_krahn_check solves the model segment once when
+it is also the instance.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ from .radial_poisson import (RadialProblem, RadialSolution, check_exponent,
                              solve_explicit)
 
 _ATOL = (1e-14, 1e-18)
-_NORM_TOL = numerics.Tolerance(rel=1e-11, abs=1e-15)
 # inverse iteration steps before NonConvergence
 _ITERATIONS = 200
 
@@ -94,9 +96,10 @@ class EigenPair:
 
     def rayleigh(self) -> float:
         """Rayleigh quotient of the stored profile, for consistency checks."""
-        p = self.p
-        return (_integral(self, lambda t: np.abs(self.zprime_at(t)) ** p)
-                / _integral(self, lambda t: self.z_at(t) ** p))
+        slope, z, dens = _node_profile(self)
+        edges = self.sol.slope.edges
+        return (numerics.node_integrals(slope ** self.p * dens, edges)[1]
+                / numerics.node_integrals(z ** self.p * dens, edges)[1])
 
 
 class FaberKrahnResult(NamedTuple):
@@ -201,7 +204,8 @@ def first_eigenpair(space: WeightedInterval, v: float, p: float,
     rescaling the density.  The iteration runs on the Kronrod nodes of
     numerics.table_grid(r_v).  The pair reads two tables built from the
     final node values: the datum mass lam * int_0^rho z^{p-1} dm, and the
-    slope (mass / w)^{1/(p-1)}, whose integral from t to r_v is z(t).
+    slope (mass / w)^{1/(p-1)}, whose integral from t to r_v is z(t) and
+    which the solution keeps as sol.slope.
     Queries clip t to [0, r_v], and z = 0 from r_v on.  seed is accepted
     for callers that pass one and has no effect.
     """
@@ -249,7 +253,7 @@ def first_eigenpair(space: WeightedInterval, v: float, p: float,
     grid = numerics.cosine_grid(0.0, r_v, 2048)
     sol = RadialSolution(grid=grid, w=z_at(grid), wprime=zprime_at(grid),
                          r1=r_v, w_at=z_at, wprime_at=zprime_at,
-                         mass_at=mass_at)
+                         mass_at=mass_at, slope=slope_table)
     return EigenPair(lam=lam, sol=sol, p=p, space=space, v=float(v))
 
 
@@ -306,7 +310,8 @@ def faber_krahn_check(space: WeightedInterval, v: float,
         raise InvalidParameter("instance carries no curvature-dimension tag")
     K, N = space.cd
     zm = model_eigenpair(K, N, p, v)
-    zi = first_eigenpair(space, v, p)
+    # the model segment itself solves to the model pair
+    zi = zm if space is zm.space else first_eigenpair(space, v, p)
     return FaberKrahnResult(instance=zi, model=zm, margin=zi.lam - zm.lam)
 
 
@@ -324,18 +329,30 @@ def eigenvalue_enclosure(pair: EigenPair) -> tuple[float, float]:
     return float(np.min(ratio)), float(np.max(ratio))
 
 
-def _integral(pair: EigenPair, g) -> float:
-    """int_0^{r_alpha} g dm over the pair's own weighted interval."""
-    dens = pair.space.density
-    return numerics.integrate(
-        lambda x: g(x) * np.asarray(dens(x), dtype=float),
-        0.0, pair.sol.r1, _NORM_TOL)
+def _node_profile(pair: EigenPair) -> tuple[np.ndarray, np.ndarray,
+                                             np.ndarray]:
+    """|z'|, z and the density at the Kronrod nodes of the cells of the
+    pair's slope table, z summed from r_alpha; a pair without the slope
+    table that first_eigenpair builds raises InvalidParameter."""
+    table = pair.sol.slope
+    if table is None:
+        raise InvalidParameter(
+            "eigenfunction norms need the slope table that first_eigenpair "
+            "builds")
+    edges = table.edges
+    z = numerics.node_integrals(table.values, edges, from_right=True)[0]
+    dens = numerics.node_values(pair.space.density, edges[:-1],
+                                np.diff(edges))
+    return table.values, z, dens
 
 
 def lp_norm(pair: EigenPair, t: float) -> float:
-    """(int z^t dm)^{1/t} over the pair's own weighted interval."""
+    """(int z^t dm)^{1/t} over the pair's own weighted interval: a
+    Kronrod node sum over the cells of its slope table."""
     check_exponent("norm exponent t", t)
-    return _integral(pair, lambda x: pair.z_at(x) ** t) ** (1.0 / t)
+    _, z, dens = _node_profile(pair)
+    return numerics.node_integrals(
+        z ** t * dens, pair.sol.slope.edges)[1] ** (1.0 / t)
 
 
 def _check_pair(u: EigenPair, z: EigenPair, p: float) -> None:

@@ -146,8 +146,7 @@ def node_integrals(vals: np.ndarray, edges: np.ndarray,
         vals, half = vals[::-1, ::-1], half[::-1]
     inc = half * np.einsum("ij,j->i", vals, _WEIGHTS_K)
     before = np.concatenate([[0.0], np.cumsum(inc)])
-    at = before[:-1, None] + half[:, None] * np.einsum(
-        "ij,jk->ik", vals, _NODE_ANTIDERIV)
+    at = before[:-1, None] + half[:, None] * (vals @ _NODE_ANTIDERIV)
     return (at[::-1, ::-1] if from_right else at), float(before[-1])
 
 

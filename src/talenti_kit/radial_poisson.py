@@ -95,9 +95,10 @@ class RadialSolution:
     mass_at exposes the cumulative source mass M(rho) = int_0^rho f dm
     used by the solve, so downstream identities can reuse it exactly.
     slope is the MonotoneTable of |w'| on [0, r1] whose total minus
-    cumulative is w, with |w'| kept at its Kronrod nodes: gradient norms
-    are node sums over its cells and level radii its inverse.  Only
-    solve_explicit builds one; other solutions carry None.
+    cumulative is w, with |w'| kept at its Kronrod nodes: gradient and
+    eigenfunction norms are node sums over its cells and level radii its
+    inverse.  solve_explicit and eigen.first_eigenpair build one;
+    solve_mass_form leaves None.
     """
 
     grid: np.ndarray

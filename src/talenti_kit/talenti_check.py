@@ -201,10 +201,12 @@ def run_comparison(inst: ProblemInstance,
                    n_check: int = 2048) -> ComparisonReport:
     """Solve both problems and fill a ComparisonReport.
 
-    The pointwise check runs on a shared cosine grid; grid_bound is a
+    The pointwise comparison u* <= w runs on a shared cosine grid of
+    n_check cells, where both sides are evaluated to quadrature
+    accuracy; values between nodes are not certified.  grid_bound is a
     first-order Lipschitz estimate of how much either side can move
-    between neighboring nodes, so violations below it are attributable
-    to sampling rather than to the inequality failing.
+    between neighboring nodes, reported beside the violation and not
+    subtracted from it.
     """
     p = inst.p
     if r_list is None:

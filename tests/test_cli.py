@@ -9,6 +9,7 @@ the numbers themselves are pinned by the library test files.
 """
 
 import configparser
+import dataclasses
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from talenti_kit import cli, eigen, errors, sobolev_embed
+from talenti_kit import cli, eigen, errors, sobolev_embed, talenti_check
 from talenti_kit.cli import (
     ParseError,
     list_builtin_suites,
@@ -663,6 +664,38 @@ class TestEigenvalueEnclosure:
         word, slack = self._slack(tmp_path)
         assert word == "fail"
         assert slack < -0.9e-8
+
+
+class TestPointwiseCheck:
+    """pointwise gates the violation of u* <= w at the grid nodes
+    against 1e-8 alone; grid_bound is reported, not subtracted."""
+
+    CAP = ("[tal]\nkind = talenti\nK = 2\nN = 3\np = 2\nv = 0.4\n"
+           "a = 0.3\nf = const 1\nn = 256\n")
+
+    def test_lowered_model_solution_fails(self, tmp_path, monkeypatch):
+        # w lowered by 1e-6 at every node: u* = w = 0 at r_v, so the
+        # violation is 1e-6, far inside grid_bound
+        real = talenti_check.solve_explicit
+
+        def lowered(prob, mass_at=None):
+            sol = real(prob, mass_at=mass_at)
+            if mass_at is None:
+                return sol
+            return dataclasses.replace(
+                sol, w_at=lambda r: np.asarray(sol.w_at(r)) - 1e-6)
+
+        monkeypatch.setattr(talenti_check, "solve_explicit", lowered)
+        out = run_text(tmp_path, self.CAP)
+        word, *_, slack = read_record(out, "tal")["check.pointwise"].split()
+        _, rows = read_csv(out / "tal.csv")
+        metrics = {name: float(value) for name, value in rows}
+        viol = metrics["pointwise_violation"]
+        assert viol == pytest.approx(1e-6, rel=1e-6)
+        assert word == "fail"
+        assert float(slack) == 1e-8 - viol
+        # the former slack, which added grid_bound, passed it
+        assert 1e-8 + metrics["grid_bound"] - viol > 0.0
 
 
 class TestUnitMass:

@@ -10,6 +10,7 @@ eigenvalues reproduced at build time.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import math
 import weakref
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from scipy.sparse import diags
 from scipy.sparse.linalg import eigsh, splu
 
-from talenti_kit import eigen
+from talenti_kit import eigen, numerics
 from talenti_kit.errors import (
     InvalidMass,
     InvalidParameter,
@@ -224,7 +225,6 @@ class TestConsistency:
 
     def test_mass_at_is_flux(self, cap_pair_p2):
         # int_0^rho lam z^{p-1} dm recomputed by quadrature
-        from talenti_kit import numerics
         pair = cap_pair_p2
         dens = pair.space.density
 
@@ -417,6 +417,53 @@ class TestShootingSolves:
             first_eigenpair(cap, 0.4, 2.0)
 
 
+def model_or_cap(N, kind):
+    if kind == "model":
+        return model_for(N - 1.0, N)
+    return make_shifted_cap(N - 1.0, N, 0.1)
+
+
+class TestNodeSumNorms:
+    """lp_norm and rayleigh are node sums over the pair's slope table,
+    checked against adaptive quadrature of z_at."""
+
+    TOL = numerics.Tolerance(rel=1e-11, abs=1e-15)
+
+    @pytest.mark.parametrize("kind", ["model", "cap"])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_norms_match_adaptive_quadrature(self, kind, p):
+        space = model_or_cap(3.0, kind)
+        pair = first_eigenpair(space, 0.4, p)
+        dens = space.density
+        for t in (0.5, 1.0, 2.0, 4.0, 8.0):
+            oracle = numerics.integrate(
+                lambda x: pair.z_at(x) ** t * np.asarray(dens(x)),
+                0.0, pair.r_alpha, self.TOL) ** (1.0 / t)
+            assert abs(lp_norm(pair, t) - oracle) <= 1e-12 * oracle
+
+    @pytest.mark.parametrize("N", [3.0, 4.0])
+    def test_rayleigh_on_the_anchors(self, N):
+        pair = model_eigenpair(N - 1.0, N, 2.0, 0.5)
+        assert abs(pair.rayleigh() - pair.lam) <= 1e-12 * pair.lam
+
+    def test_no_adaptive_quadrature(self, cap_pair_p2, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrate called")
+
+        monkeypatch.setattr(numerics, "integrate", refuse)
+        lp_norm(cap_pair_p2, 2.0)
+        cap_pair_p2.rayleigh()
+
+    def test_needs_the_slope_table(self, cap_pair_p2):
+        pair = cap_pair_p2
+        bare = EigenPair(pair.lam, dataclasses.replace(pair.sol, slope=None),
+                         pair.p, pair.space, pair.v)
+        with pytest.raises(InvalidParameter, match="slope table"):
+            lp_norm(bare, 2.0)
+        with pytest.raises(InvalidParameter, match="slope table"):
+            bare.rayleigh()
+
+
 class TestFaberKrahn:
     def test_model_instance_equality(self):
         cap0 = make_shifted_cap(2.0, 3.0, 0.0)
@@ -433,6 +480,21 @@ class TestFaberKrahn:
         fk = faber_krahn_check(cap, 0.4, 2.0)
         assert fk.margin > 0.1
         assert fk.model.lam == pytest.approx(LAM_MODEL_04_P2, rel=1e-10)
+
+    def test_model_segment_solves_once(self, monkeypatch):
+        # the anchors' instance is the shared model segment itself
+        calls = []
+        real = eigen.first_eigenpair
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(eigen, "first_eigenpair", counting)
+        fk = faber_krahn_check(model_for(2.0, 3.0), 0.5, 2.0)
+        assert len(calls) == 1
+        assert fk.instance is fk.model
+        assert fk.margin == 0.0
 
     def test_untagged_space_rejected(self):
         plain = WeightedInterval(lambda t: np.exp(-np.asarray(t, dtype=float)),
@@ -482,8 +544,10 @@ class TestChiti:
                              w_at=w_at, wprime_at=base.wprime_at,
                              mass_at=base.mass_at)
         bumped = EigenPair(z.lam, sol, 2.0, z.space, z.v)
+        # the hand-built pair has no slope table, so no norm: the bump
+        # moves the matched L^1 scale by 4.2e-7, inside the 1e-6 band
         with pytest.raises(NoCrossing):
-            chiti_compare(bumped, z, 1.0)
+            chiti_compare(bumped, z, 1.0, scale=1.0)
 
     def test_validation(self, chiti_pipeline):
         u, _, z = chiti_pipeline

@@ -130,6 +130,31 @@ class TestMonotoneTable:
         total = numerics.node_integrals(table.values, table.edges)[1]
         assert total == pytest.approx(1.0, abs=1e-13)
 
+    @pytest.mark.parametrize("from_right", [False, True])
+    def test_node_map_matches_einsum(self, from_right):
+        # rows of a real table; node_integrals maps the mirrored view of
+        # its values when summing from the right
+        edges = numerics.table_grid(1.0)
+        n = edges.size - 1
+        rng = np.random.default_rng(n)
+        vals = rng.standard_normal((n, 15)) * rng.uniform(1e-3, 1e3, (n, 1))
+        fed = vals[::-1, ::-1] if from_right else vals
+        ref = np.einsum("ij,jk->ik", fed, numerics._NODE_ANTIDERIV)
+        bound = 4.0 * numerics._EPS * (
+            np.abs(fed) @ np.abs(numerics._NODE_ANTIDERIV))
+        # node_integrals adds that map to the einsum cell sums, within
+        # one more rounding of each entry
+        half = 0.5 * np.diff(edges)[::-1 if from_right else 1]
+        before = np.concatenate([[0.0], np.cumsum(
+            half * np.einsum("ij,j->i", fed, numerics._WEIGHTS_K))])[:-1]
+        want = before[:, None] + half[:, None] * ref
+        at = numerics.node_integrals(vals, edges, from_right)[0]
+        if from_right:
+            at = at[::-1, ::-1]
+        gap = np.abs(at - want)
+        assert np.all(gap <= half[:, None] * bound
+                      + 2.0 * numerics._EPS * np.abs(want))
+
     def test_values_array_stays_writeable(self):
         vals = np.ones((numerics.table_grid(1.0).size - 1, 15))
         MonotoneTable(None, 1.0, values=vals)
