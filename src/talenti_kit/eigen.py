@@ -13,7 +13,7 @@ step is the explicit radial solve u_{k+1}(rho) = int_rho^{r_v}
 Picone's identity (Allegretto and Huang, Nonlinear Anal. 32, 1998) the
 min and max of (u_k / u_{k+1})^{p-1} enclose lam.  The pair keeps the
 slope |z'| at the Kronrod nodes of its grid as sol.slope, so its norms
-and Rayleigh quotient are node sums.
+and Rayleigh quotient are radial_poisson.node_integral calls.
 
 alpha_from_lambda inverts the model eigenvalue curve v -> lambda(v) by
 one shot of the first-order system for z and the flux m = w * Phi_p(z'),
@@ -55,7 +55,7 @@ from .errors import (
 )
 from .model_space import WeightedInterval, model_for
 from .radial_poisson import (RadialProblem, RadialSolution, check_exponent,
-                             solve_explicit)
+                             node_integral, solve_explicit)
 
 _ATOL = (1e-14, 1e-18)
 # inverse iteration steps before NonConvergence
@@ -96,10 +96,9 @@ class EigenPair:
 
     def rayleigh(self) -> float:
         """Rayleigh quotient of the stored profile, for consistency checks."""
-        slope, z, dens = _node_profile(self)
-        edges = self.sol.slope.edges
-        return (numerics.node_integrals(slope ** self.p * dens, edges)[1]
-                / numerics.node_integrals(z ** self.p * dens, edges)[1])
+        p = self.p
+        return (node_integral(self.sol, self.space, lambda x, z, d: d ** p)
+                / node_integral(self.sol, self.space, lambda x, z, d: z ** p))
 
 
 class FaberKrahnResult(NamedTuple):
@@ -329,30 +328,12 @@ def eigenvalue_enclosure(pair: EigenPair) -> tuple[float, float]:
     return float(np.min(ratio)), float(np.max(ratio))
 
 
-def _node_profile(pair: EigenPair) -> tuple[np.ndarray, np.ndarray,
-                                             np.ndarray]:
-    """|z'|, z and the density at the Kronrod nodes of the cells of the
-    pair's slope table, z summed from r_alpha; a pair without the slope
-    table that first_eigenpair builds raises InvalidParameter."""
-    table = pair.sol.slope
-    if table is None:
-        raise InvalidParameter(
-            "eigenfunction norms need the slope table that first_eigenpair "
-            "builds")
-    edges = table.edges
-    z = numerics.node_integrals(table.values, edges, from_right=True)[0]
-    dens = numerics.node_values(pair.space.density, edges[:-1],
-                                np.diff(edges))
-    return table.values, z, dens
-
-
 def lp_norm(pair: EigenPair, t: float) -> float:
-    """(int z^t dm)^{1/t} over the pair's own weighted interval: a
-    Kronrod node sum over the cells of its slope table."""
+    """(int z^t dm)^{1/t} over the pair's own weighted interval, a
+    node_integral over the cells of its slope table."""
     check_exponent("norm exponent t", t)
-    _, z, dens = _node_profile(pair)
-    return numerics.node_integrals(
-        z ** t * dens, pair.sol.slope.edges)[1] ** (1.0 / t)
+    return node_integral(pair.sol, pair.space,
+                         lambda x, z, d: z ** t) ** (1.0 / t)
 
 
 def _check_pair(u: EigenPair, z: EigenPair, p: float) -> None:

@@ -472,6 +472,9 @@ class MonotoneTable:
 
     def inverse(self, v):
         """Abscissa t with cumulative(t) = v; accepts scalars or arrays."""
+        if self.density is None:
+            raise InvalidParameter(
+                "a table built from node values has no density to invert")
         arr = np.atleast_1d(np.asarray(v, dtype=float))
         slack = 1e-12 * max(self.total, 1.0)
         if np.any(arr < -slack) or np.any(arr > self.total + slack):

@@ -95,10 +95,11 @@ class RadialSolution:
     mass_at exposes the cumulative source mass M(rho) = int_0^rho f dm
     used by the solve, so downstream identities can reuse it exactly.
     slope is the MonotoneTable of |w'| on [0, r1] whose total minus
-    cumulative is w, with |w'| kept at its Kronrod nodes: gradient and
-    eigenfunction norms are node sums over its cells and level radii its
-    inverse.  solve_explicit and eigen.first_eigenpair build one;
-    solve_mass_form leaves None.
+    cumulative is w, with |w'| kept at its Kronrod nodes: every norm of
+    the solution is a node_integral over its cells.  solve_explicit and
+    eigen.first_eigenpair build one, solve_mass_form leaves None, and
+    only solve_explicit's, which holds |w'| as a callable, inverts to
+    level radii; eigen.first_eigenpair's is built from node values.
     """
 
     grid: np.ndarray
@@ -292,23 +293,36 @@ def weak_residual(sol: RadialSolution, prob: RadialProblem) -> float:
     return worst
 
 
-def gradient_norm(sol: RadialSolution, prob: RadialProblem, r: float) -> float:
-    """Physical-coordinate integral of |w'|^r against the weighted measure.
+def node_integral(sol: RadialSolution, space: WeightedInterval,
+                  g: Callable) -> float:
+    """int_0^r1 g(t, w, |w'|) dm as one Kronrod node sum over the cells
+    of sol.slope.
 
-    A Kronrod node sum over the cells of sol.slope, which holds |w'| at
-    their nodes: the cells grade into both ends and have the source's
-    knots pinned, so one density batch at the nodes gives the integral
-    with no slope evaluation and no adaptive quadrature.  A solution
-    without a slope table raises InvalidParameter.
+    t is the flat array of the cells' Kronrod nodes, |w'| the table's
+    values there and w their integral from r1; the cells grade into both
+    ends and have the source's knots pinned, so one density batch at the
+    nodes gives the integral with no slope evaluation and no adaptive
+    quadrature.  A solution without a slope table raises
+    InvalidParameter.
     """
-    check_exponent("gradient norm exponent r", r)
     table = sol.slope
     if table is None:
         raise InvalidParameter(
-            "gradient_norm needs the slope table that solve_explicit builds")
-    dens = numerics.node_values(prob.space.density, table.edges[:-1],
-                                np.diff(table.edges))
-    return numerics.node_integrals(table.values ** r * dens, table.edges)[1]
+            "norms of a solution need the slope table that solve_explicit "
+            "and first_eigenpair build")
+    edges = table.edges
+    t = numerics.node_values(lambda x: x, edges[:-1], np.diff(edges)).ravel()
+    w = numerics.node_integrals(table.values, edges, from_right=True)[0]
+    vals = np.asarray(g(t, w.ravel(), table.values.ravel()), dtype=float)
+    vals = vals * np.asarray(space.density(t), dtype=float)
+    return numerics.node_integrals(vals.reshape(table.values.shape), edges)[1]
+
+
+def gradient_norm(sol: RadialSolution, prob: RadialProblem, r: float) -> float:
+    """Physical-coordinate integral of |w'|^r against the weighted
+    measure: node_integral of |w'|^r."""
+    check_exponent("gradient norm exponent r", r)
+    return node_integral(sol, prob.space, lambda x, w, d: d ** r)
 
 
 def gradient_norm_mass(prob: RadialProblem, fsharp: StepFunction,

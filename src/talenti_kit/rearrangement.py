@@ -26,16 +26,10 @@ _MEASURE_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Finitely many cells of a measurable function: (measure, value) pairs.
-
-    kind is "atomic" when the cells are exact (piecewise constant data)
-    and "sampled" when they come from evaluating a function on a grid,
-    in which case downstream comparisons must budget for grid error.
-    """
+    """Finitely many cells of a measurable function: (measure, value) pairs."""
 
     measures: np.ndarray
     values: np.ndarray
-    kind: str = "atomic"
 
     def __post_init__(self) -> None:
         m = np.asarray(self.measures, dtype=float)
@@ -48,8 +42,6 @@ class SampledFunction:
             raise InvalidParameter("cell values must be finite")
         if float(m.sum()) > 1.0 + _MEASURE_SLACK:
             raise MeasureOutOfRange("total cell measure exceeds the ambient mass 1")
-        if self.kind not in ("atomic", "sampled"):
-            raise InvalidParameter(f"unknown cell kind {self.kind!r}")
         object.__setattr__(self, "measures", m)
         object.__setattr__(self, "values", v)
 
@@ -197,7 +189,7 @@ def sample_on_cells(fn, cumulative, r1: float, n_cells: int) -> SampledFunction:
 
     Cell measures come from cumulative differences of the ambient
     measure; values are midpoint samples, so the result carries
-    first-order grid error and is marked kind="sampled".
+    first-order grid error.
     """
     if n_cells < 1:
         raise InvalidParameter("need at least one cell")
@@ -205,4 +197,4 @@ def sample_on_cells(fn, cumulative, r1: float, n_cells: int) -> SampledFunction:
     masses = np.diff(np.asarray(cumulative(edges), dtype=float))
     mids = 0.5 * (edges[:-1] + edges[1:])
     return SampledFunction(np.maximum(masses, 0.0),
-                           np.asarray(fn(mids), dtype=float), kind="sampled")
+                           np.asarray(fn(mids), dtype=float))

@@ -36,14 +36,15 @@ form.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import numerics
 from .errors import InvalidParameter, NonConvergence
 from .model_space import ModelSpace, check_curvature_dimension, model_for
-from .radial_poisson import RadialProblem, RadialSolution, check_exponent
+from .radial_poisson import (RadialProblem, RadialSolution, check_exponent,
+                             node_integral)
 
 # relative guard around the finiteness boundary: a regime gap below this
 # fraction of p/N counts as sitting on the boundary, so s = N/p lands on
@@ -224,38 +225,39 @@ class EmbeddingCheck(NamedTuple):
     constant: float  # c1 without t, c2 with t
 
 
-def _norm(prob: RadialProblem, g: Callable, s: float) -> float:
-    """(int_0^r1 |g|^s dm)^{1/s}, one quadrature per piece between the
-    source's knots."""
-    dens = prob.space.density
-    cuts = [0.0, *sorted(prob.inner_knots), prob.r1]
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi > lo:
-            total += numerics.integrate(
-                lambda rho: np.abs(np.asarray(g(rho), dtype=float)) ** s
-                * np.asarray(dens(rho), dtype=float), lo, hi)
-    return total ** (1.0 / s)
-
-
 def _source_norm(prob: RadialProblem, s: float) -> float:
+    """||f||_s over [0, r1]: a dense maximum for s = inf, else one
+    adaptive quadrature per piece between the source's knots.  It stays
+    off the slope table: where the source vanishes like a power at an
+    interior knot (cospos at pi/2), |f|^s is singular there, which the
+    quadrature's endpoint tails sum and the table's ungraded interior
+    cells miss by up to 4e-10 relative for s near 1."""
     if s == math.inf:
         ts = np.linspace(0.0, prob.r1, 4097)
         for k in prob.inner_knots:
             step = 1e-9 * prob.r1
             ts = np.append(ts, [k - step, k, k + step])
         return float(np.max(np.abs(np.asarray(prob.f(np.sort(ts)), dtype=float))))
-    return _norm(prob, prob.f, s)
+    dens = prob.space.density
+    cuts = [0.0, *sorted(prob.inner_knots), prob.r1]
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        total += numerics.integrate(
+            lambda rho: np.abs(np.asarray(prob.f(rho), dtype=float)) ** s
+            * np.asarray(dens(rho), dtype=float), lo, hi)
+    return total ** (1.0 / s)
 
 
 def check_embedding(prob: RadialProblem, sol: RadialSolution, s: float,
                     t: float | None = None) -> EmbeddingCheck:
     """Verify the embedding inequality on a solved radial problem.
 
-    lhs is sup |u| (or the L^t norm when t is given), rhs is the matching
-    constant times ||f||_s^(1/(p-1)); slack = rhs - lhs should be
-    nonnegative up to quadrature noise.  A divergent constant makes the
-    bound vacuous: rhs is +inf unless the source vanishes identically.
+    lhs is sup |u|, or when t is given the L^t norm, a node_integral
+    over sol's slope table (so sol comes from solve_explicit); rhs is
+    the matching constant times ||f||_s^(1/(p-1)).  slack = rhs - lhs
+    should be nonnegative up to the constant's and ||f||_s's quadrature
+    tolerance, rel 1e-10.  A divergent constant makes the bound vacuous:
+    rhs is +inf unless the source vanishes identically.
     """
     space = prob.space
     if space.cd is None:
@@ -271,7 +273,7 @@ def check_embedding(prob: RadialProblem, sol: RadialSolution, s: float,
         lhs = max(float(np.max(np.abs(sol.w))), abs(float(sol.w_at(0.0))))
         c = c1_constant(K, N, v, prob.p, s)
     else:
-        lhs = _norm(prob, sol.w_at, t)
+        lhs = node_integral(sol, space, lambda x, w, d: w ** t) ** (1.0 / t)
         c = c2_constant(K, N, v, prob.p, s, t)
     norm = _source_norm(prob, s)
     rhs = 0.0 if norm == 0.0 else c * norm ** (1.0 / (prob.p - 1.0))

@@ -238,8 +238,7 @@ def test_criterion_08_rearrangement():
     rng = np.random.default_rng(20250811)
     n = 100_000
     raw = rng.uniform(0.1, 1.0, n)
-    u = SampledFunction(raw / raw.sum(), rng.uniform(0.0, 5.0, n),
-                        kind="atomic")
+    u = SampledFunction(raw / raw.sum(), rng.uniform(0.0, 5.0, n))
     start = time.perf_counter()
     step = decreasing_rearrangement(u)
     elapsed = time.perf_counter() - start

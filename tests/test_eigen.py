@@ -49,7 +49,8 @@ from talenti_kit.radial_poisson import (
     power_signed,
     weak_residual,
 )
-from talenti_kit.talenti_check import make_shifted_cap, model_for
+from talenti_kit.talenti_check import (ProblemInstance, levy_gromov_radial,
+                                       make_shifted_cap, model_for)
 
 # frozen eigenvalues, reproduced by the FEM oracle to its O(h^2) bias in
 # the cross-check tests below
@@ -462,6 +463,17 @@ class TestNodeSumNorms:
             lp_norm(bare, 2.0)
         with pytest.raises(InvalidParameter, match="slope table"):
             bare.rayleigh()
+
+    def test_node_value_slope_has_no_inverse(self):
+        # the pair's slope table holds node values only, so level radii
+        # of an eigenfunction are refused with a typed error
+        cap = make_shifted_cap(2.0, 3.0, 0.3, 0.4)
+        pair = first_eigenpair(cap, 0.4, 2.0)
+        with pytest.raises(InvalidParameter, match="node values"):
+            pair.sol.slope.inverse(0.5 * pair.sol.slope.total)
+        inst = ProblemInstance(cap, 2.0, lambda t: np.ones_like(t), 0.4)
+        with pytest.raises(InvalidParameter, match="node values"):
+            levy_gromov_radial(inst, pair.sol, [0.5])
 
 
 class TestFaberKrahn:

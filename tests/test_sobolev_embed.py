@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from talenti_kit import cli
+from talenti_kit import cli, numerics, sobolev_embed
 from talenti_kit.errors import InvalidParameter, NonConvergence
 from talenti_kit.radial_poisson import (
     RadialProblem,
@@ -264,3 +264,66 @@ class TestCheckEmbedding:
         sol = solve_explicit(prob)
         for s in [2.5, math.inf]:
             assert check_embedding(prob, sol, s).slack >= -1e-8
+
+
+def _reference_norm(prob, g, s):
+    """(int_0^r1 |g|^s dm)^{1/s} by adaptive quadrature at rel 1e-13,
+    one piece between the source's knots."""
+    dens = prob.space.density
+    tol = numerics.Tolerance(rel=1e-13, abs=1e-300)
+    cuts = [0.0, *sorted(prob.inner_knots), prob.r1]
+    total = sum(numerics.integrate(
+        lambda x: np.abs(np.asarray(g(x), dtype=float)) ** s
+        * np.asarray(dens(x), dtype=float), lo, hi, tol)
+        for lo, hi in zip(cuts[:-1], cuts[1:]))
+    return total ** (1.0 / s)
+
+
+class TestEmbeddingNorms:
+    """check_embedding's ||u||_t is a node sum over the solution's slope
+    table and its ||f||_s an adaptive quadrature per knot piece; both
+    are checked against the adaptive reference.  At v = 0.8 the cospos
+    knot pi/2 lies inside (0, r1) on both spaces."""
+
+    SOURCES = ("const 1", "cospos", "twolevel 2 0.5 0.5", "twolevel 0.5 2 0.5")
+
+    @pytest.mark.parametrize("where", ["model", "cap"])
+    @pytest.mark.parametrize("v", [0.3, 0.8])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_norms_match_the_reference(self, where, v, p):
+        space = model_for(2.0, 3.0) if where == "model" else \
+            make_shifted_cap(2.0, 3.0, 0.3)
+        r1 = float(space.inverse_cumulative(v))
+        for text in self.SOURCES:
+            spec = cli._parse_source("f", text)
+            prob = RadialProblem(space, p, spec, r1, f_knots=spec.knots)
+            sol = solve_explicit(prob)
+            for s, t in ((0.9, 1.5), (2.0, 2.0), (5.0, 3.0)):
+                lhs = check_embedding(prob, sol, 5.0, t).lhs
+                ref = _reference_norm(prob, sol.w_at, t)
+                assert lhs == pytest.approx(ref, rel=1e-13, abs=0.0)
+                # ||f||_s runs at the default quadrature tolerance; its
+                # worst case, cospos at s = 0.9 past pi/2, reads 2.2e-12
+                ref = _reference_norm(prob, spec, s)
+                assert sobolev_embed._source_norm(prob, s) == pytest.approx(
+                    ref, rel=1e-10, abs=0.0)
+
+    def test_lt_norm_makes_no_quadrature(self, monkeypatch):
+        # the adaptive calls of a finite-s, finite-t check are the
+        # constant's and the source norm's; ||u||_t adds none
+        cap = make_shifted_cap(2.0, 3.0, 0.3)
+        spec = cli._parse_source("f", "twolevel 2 0.5 0.5")
+        prob = RadialProblem(cap, 2.0, spec, float(cap.inverse_cumulative(0.4)),
+                             f_knots=spec.knots)
+        sol = solve_explicit(prob)
+        K, N = cap.cd
+        calls = []
+        plain = numerics.integrate
+        monkeypatch.setattr(numerics, "integrate",
+                            lambda *a, **k: calls.append(a) or plain(*a, **k))
+        c2_constant(K, N, prob.mass, 2.0, 2.5, 2.0)
+        sobolev_embed._source_norm(prob, 2.5)
+        alone = len(calls)
+        calls.clear()
+        check_embedding(prob, sol, 2.5, 2.0)
+        assert alone > 0 and len(calls) == alone
