@@ -516,7 +516,7 @@ def _run_poisson(sc: Scenario, scale: float):
     if spec.step_exact:
         sharp = spec.mass_step(space, r1)
         for r in sc.params["r_list"]:
-            g_phys = gradient_norm(sol, prob, r)
+            g_phys = gradient_norm(sol, r)
             g_mass = gradient_norm_mass(prob, sharp, r)
             rel = abs(g_phys - g_mass) / max(g_phys, g_mass, 1e-300)
             checks.append(_check(f"gradient-identity-r{_fmt(r)}",
@@ -536,10 +536,8 @@ def _run_poisson(sc: Scenario, scale: float):
 def _run_talenti(sc: Scenario, scale: float):
     params = sc.params
     spec = params["f"]
-    label = "cap" if params["a"] > 0.0 else "model"
     inst = ProblemInstance(space=_space_for(params), p=params["p"],
-                           f=spec, v=params["v"], label=label,
-                           f_knots=spec.knots)
+                           f=spec, v=params["v"], f_knots=spec.knots)
     rep = run_comparison(inst, r_list=params["r_list"], n_check=params["n"])
     checks = [
         _check("pointwise", 1e-8 * scale - rep.pointwise_violation),

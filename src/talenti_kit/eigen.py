@@ -11,9 +11,9 @@ method (Biezuner, Ercole and Martins, J. Funct. Anal. 257, 2009): each
 step is the explicit radial solve u_{k+1}(rho) = int_rho^{r_v}
 (M_k / w)^{1/(p-1)} with M_k(rho) = int_0^rho u_k^{p-1} dm, and by
 Picone's identity (Allegretto and Huang, Nonlinear Anal. 32, 1998) the
-min and max of (u_k / u_{k+1})^{p-1} enclose lam.  The pair keeps the
-slope |z'| at the Kronrod nodes of its grid as sol.slope, so its norms
-and Rayleigh quotient are radial_poisson.node_integral calls.
+min and max of (u_k / u_{k+1})^{p-1} enclose lam.  The pair keeps |z'|
+and the density at the Kronrod nodes of its grid as sol.slope and
+sol.node_density, so its norms and Rayleigh quotient are node sums.
 
 alpha_from_lambda inverts the model eigenvalue curve v -> lambda(v) by
 one shot of the first-order system for z and the flux m = w * Phi_p(z'),
@@ -97,8 +97,8 @@ class EigenPair:
     def rayleigh(self) -> float:
         """Rayleigh quotient of the stored profile, for consistency checks."""
         p = self.p
-        return (node_integral(self.sol, self.space, lambda x, z, d: d ** p)
-                / node_integral(self.sol, self.space, lambda x, z, d: z ** p))
+        return (node_integral(self.sol, lambda x, z, d: d ** p)
+                / node_integral(self.sol, lambda x, z, d: z ** p))
 
 
 class FaberKrahnResult(NamedTuple):
@@ -195,8 +195,7 @@ def _inverse_iteration(edges: np.ndarray, w: np.ndarray,
         f"(bracket [{lo:.17g}, {hi:.17g}])")
 
 
-def first_eigenpair(space: WeightedInterval, v: float, p: float,
-                    seed: float | None = None) -> EigenPair:
+def first_eigenpair(space: WeightedInterval, v: float, p: float) -> EigenPair:
     """First Dirichlet eigenpair at mass fraction v, by inverse iteration.
 
     v is the mass of the domain, so the answer is invariant under
@@ -204,9 +203,9 @@ def first_eigenpair(space: WeightedInterval, v: float, p: float,
     numerics.table_grid(r_v).  The pair reads two tables built from the
     final node values: the datum mass lam * int_0^rho z^{p-1} dm, and the
     slope (mass / w)^{1/(p-1)}, whose integral from t to r_v is z(t) and
-    which the solution keeps as sol.slope.
-    Queries clip t to [0, r_v], and z = 0 from r_v on.  seed is accepted
-    for callers that pass one and has no effect.
+    which the solution keeps as sol.slope, with the iteration's density
+    values w at the same nodes as sol.node_density.
+    Queries clip t to [0, r_v], and z = 0 from r_v on.
     """
     if not (p > 1.0 and math.isfinite(p)):
         raise InvalidParameter(f"exponent p={p} must exceed 1")
@@ -252,7 +251,7 @@ def first_eigenpair(space: WeightedInterval, v: float, p: float,
     grid = numerics.cosine_grid(0.0, r_v, 2048)
     sol = RadialSolution(grid=grid, w=z_at(grid), wprime=zprime_at(grid),
                          r1=r_v, w_at=z_at, wprime_at=zprime_at,
-                         mass_at=mass_at, slope=slope_table)
+                         mass_at=mass_at, slope=slope_table, node_density=w)
     return EigenPair(lam=lam, sol=sol, p=p, space=space, v=float(v))
 
 
@@ -332,8 +331,7 @@ def lp_norm(pair: EigenPair, t: float) -> float:
     """(int z^t dm)^{1/t} over the pair's own weighted interval, a
     node_integral over the cells of its slope table."""
     check_exponent("norm exponent t", t)
-    return node_integral(pair.sol, pair.space,
-                         lambda x, z, d: z ** t) ** (1.0 / t)
+    return node_integral(pair.sol, lambda x, z, d: z ** t) ** (1.0 / t)
 
 
 def _check_pair(u: EigenPair, z: EigenPair, p: float) -> None:

@@ -95,11 +95,11 @@ class RadialSolution:
     mass_at exposes the cumulative source mass M(rho) = int_0^rho f dm
     used by the solve, so downstream identities can reuse it exactly.
     slope is the MonotoneTable of |w'| on [0, r1] whose total minus
-    cumulative is w, with |w'| kept at its Kronrod nodes: every norm of
-    the solution is a node_integral over its cells.  solve_explicit and
-    eigen.first_eigenpair build one, solve_mass_form leaves None, and
-    only solve_explicit's, which holds |w'| as a callable, inverts to
-    level radii; eigen.first_eigenpair's is built from node values.
+    cumulative is w, with |w'| kept at its Kronrod nodes, and node_density
+    the space's density there: every norm of the solution is a
+    node_integral over its cells.  solve_explicit and first_eigenpair
+    set both, solve_mass_form neither, and only solve_explicit's slope,
+    which holds |w'| as a callable, inverts to level radii.
     """
 
     grid: np.ndarray
@@ -110,6 +110,7 @@ class RadialSolution:
     wprime_at: Callable
     mass_at: Callable
     slope: numerics.MonotoneTable | None = None
+    node_density: np.ndarray | None = None
 
 
 def _slope_factory(prob: RadialProblem, mass_at: Callable):
@@ -183,9 +184,12 @@ def solve_explicit(prob: RadialProblem,
     w = np.asarray(w_at(grid), dtype=float)
     if not np.all(np.isfinite(w)):
         raise IntegrabilityFailure("solution values are not finite")
+    edges = slope_table.edges
+    dens = numerics.node_values(prob.space.density, edges[:-1], np.diff(edges))
     return RadialSolution(grid=grid, w=w, wprime=-np.asarray(slope(grid)),
                           r1=prob.r1, w_at=w_at, wprime_at=wprime_at,
-                          mass_at=mass_at, slope=slope_table)
+                          mass_at=mass_at, slope=slope_table,
+                          node_density=dens)
 
 
 def _mass_ratio(space: WeightedInterval, fsharp: StepFunction, sigma):
@@ -293,36 +297,35 @@ def weak_residual(sol: RadialSolution, prob: RadialProblem) -> float:
     return worst
 
 
-def node_integral(sol: RadialSolution, space: WeightedInterval,
-                  g: Callable) -> float:
+def node_integral(sol: RadialSolution, g: Callable) -> float:
     """int_0^r1 g(t, w, |w'|) dm as one Kronrod node sum over the cells
     of sol.slope.
 
     t is the flat array of the cells' Kronrod nodes, |w'| the table's
-    values there and w their integral from r1; the cells grade into both
-    ends and have the source's knots pinned, so one density batch at the
-    nodes gives the integral with no slope evaluation and no adaptive
-    quadrature.  A solution without a slope table raises
-    InvalidParameter.
+    values there, w their integral from r1 and dm the solution's own
+    node_density; the cells grade into both ends and have the source's
+    knots pinned, so the sum gives the integral with no density call, no
+    slope evaluation and no adaptive quadrature.  A solution without a
+    slope table or node density raises InvalidParameter.
     """
-    table = sol.slope
-    if table is None:
+    table, dens = sol.slope, sol.node_density
+    if table is None or dens is None:
         raise InvalidParameter(
-            "norms of a solution need the slope table that solve_explicit "
-            "and first_eigenpair build")
+            "norms of a solution need the slope table and node density "
+            "that solve_explicit and first_eigenpair build")
     edges = table.edges
     t = numerics.node_values(lambda x: x, edges[:-1], np.diff(edges)).ravel()
     w = numerics.node_integrals(table.values, edges, from_right=True)[0]
     vals = np.asarray(g(t, w.ravel(), table.values.ravel()), dtype=float)
-    vals = vals * np.asarray(space.density(t), dtype=float)
+    vals = vals * dens.ravel()
     return numerics.node_integrals(vals.reshape(table.values.shape), edges)[1]
 
 
-def gradient_norm(sol: RadialSolution, prob: RadialProblem, r: float) -> float:
+def gradient_norm(sol: RadialSolution, r: float) -> float:
     """Physical-coordinate integral of |w'|^r against the weighted
-    measure: node_integral of |w'|^r."""
+    measure: node_integral of |w'|^r, on the solution alone."""
     check_exponent("gradient norm exponent r", r)
-    return node_integral(sol, prob.space, lambda x, w, d: d ** r)
+    return node_integral(sol, lambda x, w, d: d ** r)
 
 
 def gradient_norm_mass(prob: RadialProblem, fsharp: StepFunction,

@@ -273,7 +273,7 @@ def check_embedding(prob: RadialProblem, sol: RadialSolution, s: float,
         lhs = max(float(np.max(np.abs(sol.w))), abs(float(sol.w_at(0.0))))
         c = c1_constant(K, N, v, prob.p, s)
     else:
-        lhs = node_integral(sol, space, lambda x, w, d: w ** t) ** (1.0 / t)
+        lhs = node_integral(sol, lambda x, w, d: w ** t) ** (1.0 / t)
         c = c2_constant(K, N, v, prob.p, s, t)
     norm = _source_norm(prob, s)
     rhs = 0.0 if norm == 0.0 else c * norm ** (1.0 / (prob.p - 1.0))

@@ -88,14 +88,14 @@ class ProblemInstance:
 
     The domain is the interval [0, r1) holding mass v; f_knots lists
     known discontinuities of the source so both solves can pin them to
-    quadrature cell edges.
+    quadrature cell edges.  A model_for segment as space is the equality
+    case, whose sharpness run_comparison measures for a nonincreasing f.
     """
 
     space: WeightedInterval
     p: float
     f: Callable
     v: float
-    label: str = "custom"
     f_knots: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
@@ -219,8 +219,7 @@ def run_comparison(inst: ProblemInstance,
         raise CheckFailure(
             f"instance density violates the curvature criterion by {resid:.3e}")
 
-    prob_u = inst.problem()
-    u = solve_explicit(prob_u)
+    u = solve_explicit(inst.problem())
     fsharp_at, step, knot_masses = _rearranged_source(inst)
     F_at = _source_cumulative(inst, u, step)
 
@@ -260,8 +259,7 @@ def run_comparison(inst: ProblemInstance,
     grid_bound = spacing * lip
 
     gradient_gaps = {
-        float(r): (float(gradient_norm(u, prob_u, r)),
-                   float(gradient_norm(w, prob_w, r)))
+        float(r): (float(gradient_norm(u, r)), float(gradient_norm(w, r)))
         for r in r_list
     }
 
@@ -270,7 +268,7 @@ def run_comparison(inst: ProblemInstance,
     lg = levy_gromov_radial(inst, u, levels)
 
     sharpness_gap = float("nan")
-    if inst.label == "model" and step is None:
+    if inst.space is model and step is None:
         sharpness_gap = float(np.max(np.abs(diff)))
 
     return ComparisonReport(

@@ -69,7 +69,7 @@ def model_reports():
         spec = _source(ftext)
         ival = model_for(N - 1.0, float(N))
         inst = ProblemInstance(space=ival, p=p, f=spec, v=0.5,
-                               label="model", f_knots=spec.knots)
+                               f_knots=spec.knots)
         start = time.perf_counter()
         rep = run_comparison(inst, n_check=4096)
         out.append((f"N={N} p={p} {spec.form}", rep,
@@ -84,8 +84,7 @@ def cap_reports():
     spec = _source("twolevel 2 0.5 0.25")
     for a, v, p in CAP_CASES:
         cap = make_shifted_cap(2.0, 3.0, a, v)
-        inst = ProblemInstance(space=cap, p=p, f=spec, v=v,
-                               label="cap", f_knots=spec.knots)
+        inst = ProblemInstance(space=cap, p=p, f=spec, v=v, f_knots=spec.knots)
         start = time.perf_counter()
         rep = run_comparison(inst)
         out.append((f"a={a} v={v} p={p}", rep, time.perf_counter() - start))
@@ -121,11 +120,11 @@ def eigen_suite():
         r = p - 1.0
         grid = (r, 2.0 * r, 5.0 * r)
         zv = model_eigenpair(2.0, 3.0, p, EIGEN_V)
-        um = first_eigenpair(ival, EIGEN_V, p, seed=zv.lam)
+        um = first_eigenpair(ival, EIGEN_V, p)
         models.append((p, um.lam - zv.lam, reverse_holder(um, zv, r, grid)))
         for a in EIGEN_AS:
             cap = make_shifted_cap(2.0, 3.0, a, EIGEN_V)
-            u = first_eigenpair(cap, EIGEN_V, p, seed=zv.lam)
+            u = first_eigenpair(cap, EIGEN_V, p)
             _, z = alpha_from_lambda(zv, u.lam)
             crossing, viol = chiti_compare(u, z, r)
             caps.append({
@@ -170,7 +169,7 @@ def test_criterion_03_gradient_identity(poisson_set):
     for _, spec, prob, sol in poisson_set:
         sharp = spec.mass_step(prob.space, prob.r1)
         for r in (1.0, 0.5 * (1.0 + prob.p), prob.p):
-            g_phys = gradient_norm(sol, prob, r)
+            g_phys = gradient_norm(sol, r)
             g_mass = gradient_norm_mass(prob, sharp, r)
             worst = max(worst,
                         abs(g_phys - g_mass) / max(g_phys, g_mass, 1e-300))

@@ -329,7 +329,7 @@ class TestAlphaFromLambda:
     def test_model_eigenvalue_hits_cap_target(self, p, a):
         cap = make_shifted_cap(2.0, 3.0, a, 0.4)
         up = model_eigenpair(2.0, 3.0, p, 0.4)
-        target = first_eigenpair(cap, 0.4, p, seed=up.lam).lam
+        target = first_eigenpair(cap, 0.4, p).lam
         alpha, z = alpha_from_lambda(up, target)
         fresh = model_eigenpair(2.0, 3.0, p, alpha)
         assert abs(fresh.lam - target) <= 1e-11 * target
@@ -347,8 +347,8 @@ class TestAlphaFromLambda:
 
 
 class TestShootingSolves:
-    """first_eigenpair makes no solve_ivp call, seeded or not, and its
-    inverse iteration settles across dimensions and exponents."""
+    """first_eigenpair makes no solve_ivp call, and its inverse
+    iteration settles across dimensions and exponents."""
 
     @staticmethod
     def _counted(monkeypatch):
@@ -363,25 +363,11 @@ class TestShootingSolves:
         return calls
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-    def test_model_seeded_cap_pair_within_eight_solves(self, cap, p,
-                                                       monkeypatch):
-        seed = model_eigenpair(2.0, 3.0, p, 0.4).lam
+    @pytest.mark.parametrize("where", ["model", "cap"])
+    def test_pair_makes_no_solve(self, cap, where, p, monkeypatch):
+        space = model_for(2.0, 3.0) if where == "model" else cap
         calls = self._counted(monkeypatch)
-        first_eigenpair(cap, 0.4, p, seed=seed)
-        assert calls == []
-
-    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-    def test_seed_far_off_gives_the_same_eigenvalue(self, cap, p):
-        seed = model_eigenpair(2.0, 3.0, p, 0.4).lam
-        lam = first_eigenpair(cap, 0.4, p, seed=seed).lam
-        for factor in (100.0, 0.01):
-            far = first_eigenpair(cap, 0.4, p, seed=factor * seed).lam
-            assert abs(far - lam) <= 1e-12 * lam
-
-    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-    def test_default_seed_within_eight_solves(self, p, monkeypatch):
-        calls = self._counted(monkeypatch)
-        first_eigenpair(model_for(2.0, 3.0), 0.4, p)
+        first_eigenpair(space, 0.4, p)
         assert calls == []
 
     @pytest.mark.parametrize("v", [0.1, 0.5, 0.9])
@@ -752,7 +738,7 @@ class TestPropertySweep:
         space = make_shifted_cap(2.0, 3.0, shift)
         fk = faber_krahn_check(space, v, p)
         assert fk.margin >= -1e-8
-        pair = first_eigenpair(space, v, p, seed=fk.instance.lam)
+        pair = first_eigenpair(space, v, p)
         assert pair.z_at(0.0) == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(pair.sol.w) <= 1e-12)
         assert abs(pair.rayleigh() - pair.lam) <= 1e-6 * pair.lam

@@ -7,6 +7,7 @@ frozen decimals below are 30-digit quadratures of its integral.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from talenti_kit import cli, numerics
+from talenti_kit import cli, eigen, numerics, sobolev_embed
 from talenti_kit.errors import (
     IntegrabilityFailure,
     InvalidParameter,
@@ -28,6 +29,7 @@ from talenti_kit.radial_poisson import (
     WeightedInterval,
     gradient_norm,
     gradient_norm_mass,
+    node_integral,
     power_signed,
     solve_explicit,
     solve_mass_form,
@@ -259,7 +261,7 @@ class TestGradientNorms:
         frozen = {1.0: 0.233544138606828819, 1.5: 0.168614645470245615, 2.0: 0.125}
         fsharp = StepFunction([prob.mass], [1.0, 0.0])
         for r, expect in frozen.items():
-            phys = gradient_norm(sol, prob, r)
+            phys = gradient_norm(sol, r)
             assert phys == pytest.approx(expect, rel=1e-9)
             mass = gradient_norm_mass(prob, fsharp, r)
             assert abs(phys - mass) <= 1e-13 * abs(phys)
@@ -269,7 +271,7 @@ class TestGradientNorms:
         prob, sol = half_ball_p2
         fsharp = StepFunction([prob.mass], [1.0, 0.0])
         with pytest.raises(InvalidParameter, match="positive and finite"):
-            gradient_norm(sol, prob, r)
+            gradient_norm(sol, r)
         with pytest.raises(InvalidParameter, match="positive and finite"):
             gradient_norm_mass(prob, fsharp, r)
 
@@ -278,7 +280,7 @@ class TestGradientNorms:
         sol = solve_explicit(prob)
         fsharp = StepFunction([prob.mass], [1.0, 0.0])
         for r in [1.0, 2.0, 3.0]:
-            phys = gradient_norm(sol, prob, r)
+            phys = gradient_norm(sol, r)
             mass = gradient_norm_mass(prob, fsharp, r)
             assert abs(phys - mass) <= 1e-13 * abs(phys)
 
@@ -300,16 +302,16 @@ class TestGradientNorms:
         qtol = Tolerance(rel=1e-14, abs=1e-300)
         ref = integrate(integrand, 0.0, 0.3, qtol) + \
             integrate(integrand, 0.3, r1, qtol)
-        assert gradient_norm(sol, prob, r) == pytest.approx(ref, rel=1e-13)
+        assert gradient_norm(sol, r) == pytest.approx(ref, rel=1e-13)
 
     def test_no_adaptive_quadrature(self, half_ball_p2, monkeypatch):
         # a node sum over the cells of the solution's slope table
-        prob, sol = half_ball_p2
+        _, sol = half_ball_p2
         calls = []
         plain = numerics.integrate
         monkeypatch.setattr(numerics, "integrate",
                             lambda *a, **k: calls.append(a) or plain(*a, **k))
-        gradient_norm(sol, prob, 1.5)
+        gradient_norm(sol, 1.5)
         assert calls == []
 
     def test_needs_the_slope_table(self, half_ball_p2):
@@ -317,7 +319,87 @@ class TestGradientNorms:
         alt = solve_mass_form(prob, StepFunction([prob.mass], [1.0, 0.0]))
         assert alt.slope is None
         with pytest.raises(InvalidParameter, match="slope table"):
-            gradient_norm(alt, prob, 1.5)
+            gradient_norm(alt, 1.5)
+
+
+def _fresh_density_node_integral(sol, space, g):
+    """node_integral with one fresh density batch at the nodes of
+    sol.slope, the reference the stored node density must reproduce."""
+    edges = sol.slope.edges
+    t = numerics.node_values(lambda x: x, edges[:-1], np.diff(edges)).ravel()
+    w = numerics.node_integrals(sol.slope.values, edges, from_right=True)[0]
+    vals = np.asarray(g(t, w.ravel(), sol.slope.values.ravel()), dtype=float)
+    vals = vals * np.asarray(space.density(t), dtype=float)
+    return numerics.node_integrals(vals.reshape(sol.slope.values.shape),
+                                   edges)[1]
+
+
+def _space(where):
+    if where == "model":
+        return ModelSpace(2.0, 3.0)
+    return make_shifted_cap(2.0, 3.0, 0.3, 0.4)
+
+
+def _count_density_calls(monkeypatch):
+    calls = []
+    for cls in (WeightedInterval, ModelSpace):
+        plain = cls.density
+
+        def counting(self, t, plain=plain):
+            calls.append(np.size(t))
+            return plain(self, t)
+
+        monkeypatch.setattr(cls, "density", counting)
+    return calls
+
+
+class TestNodeDensity:
+    """A solution keeps the space's density at the Kronrod nodes of its
+    slope table, so its norms make no density call."""
+
+    @pytest.mark.parametrize("solver", ["explicit", "eigen"])
+    @pytest.mark.parametrize("where", ["model", "cap"])
+    def test_node_integral_matches_a_fresh_density_batch(self, where,
+                                                         solver):
+        space = _space(where)
+        if solver == "explicit":
+            r1 = float(space.inverse_cumulative(0.4))
+            f = lambda t: np.where(np.asarray(t, dtype=float) < 0.3, 2.0, 0.5)
+            sol = solve_explicit(RadialProblem(space, 2.0, f, r1,
+                                               f_knots=(0.3,)))
+        else:
+            sol = eigen.first_eigenpair(space, 0.4, 1.5).sol
+        for g in (lambda x, w, d: d ** 1.5, lambda x, w, d: x * w ** 2):
+            assert node_integral(sol, g) == \
+                _fresh_density_node_integral(sol, space, g)
+
+    @pytest.mark.parametrize("where", ["model", "cap"])
+    def test_norms_make_no_density_call(self, where, monkeypatch):
+        space = _space(where)
+        r1 = float(space.inverse_cumulative(0.4))
+        prob = RadialProblem(space, 2.0, ONES, r1)
+        sol = solve_explicit(prob)
+        pair = eigen.first_eigenpair(space, 0.4, 2.0)
+        # isolate check_embedding's ||u||_t from its constant and ||f||_s
+        monkeypatch.setattr(sobolev_embed, "c2_constant", lambda *a: 1.0)
+        monkeypatch.setattr(sobolev_embed, "_source_norm", lambda *a: 1.0)
+        calls = _count_density_calls(monkeypatch)
+        gradient_norm(sol, 1.5)
+        eigen.lp_norm(pair, 3.0)
+        pair.rayleigh()
+        sobolev_embed.check_embedding(prob, sol, 2.5, 2.0)
+        assert calls == []
+        space.density(np.array([0.1, 0.2]))
+        assert calls == [2]
+
+    def test_slope_without_node_density_raises(self, half_ball_p2):
+        _, sol = half_ball_p2
+        bare = dataclasses.replace(sol, node_density=None)
+        assert bare.slope is not None
+        with pytest.raises(InvalidParameter, match="node density"):
+            gradient_norm(bare, 1.5)
+        with pytest.raises(InvalidParameter, match="node density"):
+            node_integral(bare, lambda x, w, d: w)
 
 
 class TestPowerSigned:

@@ -112,7 +112,7 @@ class TestInstanceValidation:
 
 class TestModelEquality:
     def test_sharpness_and_gradients(self, model_interval):
-        inst = ProblemInstance(model_interval, 2.0, ONES, 0.5, label="model")
+        inst = ProblemInstance(model_interval, 2.0, ONES, 0.5)
         rep = run_comparison(inst)
         assert rep.pointwise_violation <= 1e-10
         assert rep.sharpness_gap <= 1e-6
@@ -127,8 +127,7 @@ class TestModelEquality:
         # comparison still collapses to equality
         split = 0.45
         f = lambda t: np.where(np.asarray(t, dtype=float) < split, 1.0, 0.35)
-        inst = ProblemInstance(model_interval, 2.0, f, 0.5, label="model",
-                               f_knots=(split,))
+        inst = ProblemInstance(model_interval, 2.0, f, 0.5, f_knots=(split,))
         rep = run_comparison(inst)
         assert rep.pointwise_violation <= 1e-10
         assert rep.sharpness_gap <= 1e-6
@@ -136,7 +135,7 @@ class TestModelEquality:
 
 class TestShiftedCapComparison:
     def test_frozen_origin_gap(self, cap):
-        inst = ProblemInstance(cap, 2.0, ONES, 0.4, label="shifted-cap")
+        inst = ProblemInstance(cap, 2.0, ONES, 0.4)
         rep = run_comparison(inst)
         assert rep.pointwise_violation <= 1e-8
         # w(0) - u*(0) from the frozen solutions of both problems
@@ -147,7 +146,7 @@ class TestShiftedCapComparison:
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_gradient_domination(self, cap, p):
-        inst = ProblemInstance(cap, p, ONES, 0.4, label="shifted-cap")
+        inst = ProblemInstance(cap, p, ONES, 0.4)
         rep = run_comparison(inst)
         assert rep.pointwise_violation <= 1e-8
         assert all(lhs <= rhs + 1e-8
@@ -158,7 +157,7 @@ class TestShiftedCapComparison:
     def test_nonmonotone_source(self, cap):
         # increasing two-level source exercises the sampled rearrangement
         f = lambda t: np.where(np.asarray(t, dtype=float) < 0.5, 0.35, 1.0)
-        inst = ProblemInstance(cap, 2.0, f, 0.4, label="shifted-cap")
+        inst = ProblemInstance(cap, 2.0, f, 0.4)
         rep = run_comparison(inst)
         assert rep.pointwise_violation <= 1e-5
         assert all(lhs <= rhs + 1e-5
@@ -166,7 +165,7 @@ class TestShiftedCapComparison:
 
     def test_decreasing_smooth_source(self, cap):
         f = lambda t: np.maximum(np.cos(np.asarray(t, dtype=float)), 0.0)
-        inst = ProblemInstance(cap, 2.0, f, 0.4, label="shifted-cap")
+        inst = ProblemInstance(cap, 2.0, f, 0.4)
         rep = run_comparison(inst)
         assert rep.pointwise_violation <= 1e-8
         assert all(lhs <= rhs + 1e-8
@@ -198,8 +197,7 @@ class TestTableResolution:
             cap = make_shifted_cap(2.0, 3.0, 0.293249, 0.317594)
             f = lambda t: np.where(np.asarray(t, dtype=float) < split,
                                    0.599928, 1.76286)
-            inst = ProblemInstance(cap, 2.0, f, 0.317594, label="cap",
-                                   f_knots=(split,))
+            inst = ProblemInstance(cap, 2.0, f, 0.317594, f_knots=(split,))
             return run_comparison(inst).origin_gap
 
         coarse = run()
@@ -212,21 +210,21 @@ class TestTableResolution:
 
 class TestLevyGromov:
     def test_model_ratio_is_one(self, model_interval):
-        inst = ProblemInstance(model_interval, 2.0, ONES, 0.5, label="model")
+        inst = ProblemInstance(model_interval, 2.0, ONES, 0.5)
         u = solve_explicit(inst.problem())
         sup = float(u.w_at(0.0))
         ratio = levy_gromov_radial(inst, u, np.linspace(0.1, 0.9, 9) * sup)
         assert ratio == pytest.approx(1.0, abs=1e-10)
 
     def test_cap_ratio_at_least_one(self, cap):
-        inst = ProblemInstance(cap, 2.0, ONES, 0.4, label="shifted-cap")
+        inst = ProblemInstance(cap, 2.0, ONES, 0.4)
         u = solve_explicit(inst.problem())
         sup = float(u.w_at(0.0))
         ratio = levy_gromov_radial(inst, u, np.linspace(0.05, 0.95, 19) * sup)
         assert ratio >= 1.0 - 1e-8
 
     def test_high_levels_skipped(self, model_interval):
-        inst = ProblemInstance(model_interval, 2.0, ONES, 0.5, label="model")
+        inst = ProblemInstance(model_interval, 2.0, ONES, 0.5)
         u = solve_explicit(inst.problem())
         sup = float(u.w_at(0.0))
         mixed = levy_gromov_radial(inst, u, [0.5 * sup, 2.0 * sup])
@@ -234,20 +232,20 @@ class TestLevyGromov:
         assert mixed == pytest.approx(only, rel=1e-12)
 
     def test_all_levels_degenerate(self, model_interval):
-        inst = ProblemInstance(model_interval, 2.0, ONES, 0.5, label="model")
+        inst = ProblemInstance(model_interval, 2.0, ONES, 0.5)
         u = solve_explicit(inst.problem())
         with pytest.raises(DegenerateLevel):
             levy_gromov_radial(inst, u, [10.0, 20.0])
 
     def test_negative_level_rejected(self, model_interval):
-        inst = ProblemInstance(model_interval, 2.0, ONES, 0.5, label="model")
+        inst = ProblemInstance(model_interval, 2.0, ONES, 0.5)
         u = solve_explicit(inst.problem())
         with pytest.raises(InvalidParameter):
             levy_gromov_radial(inst, u, [-0.5])
 
     def test_needs_the_slope_table(self, model_interval):
         # level radii are one inverse of the slope table
-        inst = ProblemInstance(model_interval, 2.0, ONES, 0.5, label="model")
+        inst = ProblemInstance(model_interval, 2.0, ONES, 0.5)
         u = dataclasses.replace(solve_explicit(inst.problem()), slope=None)
         with pytest.raises(InvalidParameter, match="slope table"):
             levy_gromov_radial(inst, u, [0.5 * float(u.w_at(0.0))])
@@ -271,7 +269,7 @@ class TestChainClosedForm:
     def test_chain_is_product_of_two_ratios(self, model_interval, cap,
                                             where, f, knots, p):
         space, v = (model_interval, 0.5) if where == "model" else (cap, 0.4)
-        inst = ProblemInstance(space, p, f, v, label=where, f_knots=knots)
+        inst = ProblemInstance(space, p, f, v, f_knots=knots)
         u = solve_explicit(inst.problem())
         top = 0.99 * float(u.w_at(0.0))
         levels = np.linspace(top / 256, top, 256)
@@ -301,7 +299,7 @@ class TestSlopeTableRoute:
         # over [0, r_v] missed the plateau between them by 7.9e-6
         f = lambda t: np.where(np.asarray(t, dtype=float) < 0.3, 0.5, 2.0)
         inst = ProblemInstance(model_for(3.0, 4.0), 2.0, f, 0.4,
-                               label="model", f_knots=(0.3,))
+                               f_knots=(0.3,))
         rep = run_comparison(inst, r_list=[1.0, 1.5, 2.0])
         _, step, _ = talenti_check._rearranged_source(inst)
         prob_w = RadialProblem(inst.model, 2.0, ONES, inst.model_radius)
@@ -315,10 +313,9 @@ class TestSlopeTableRoute:
         plain = numerics.integrate
         monkeypatch.setattr(numerics, "integrate",
                             lambda *a, **k: calls.append(a) or plain(*a, **k))
-        for space, v, label in ((model_interval, 0.5, "model"),
-                                (cap, 0.4, "shifted-cap")):
+        for space, v in ((model_interval, 0.5), (cap, 0.4)):
             run_comparison(ProblemInstance(space, 2.0, DECREASING, v,
-                                           label=label, f_knots=(0.45,)))
+                                           f_knots=(0.45,)))
         assert calls == []
 
     def test_tiny_shift_inverts_the_first_cell(self):
@@ -331,8 +328,7 @@ class TestSlopeTableRoute:
 
     def test_tiny_shift_comparison_holds(self):
         cap = make_shifted_cap(2.0, 3.0, 4e-16, 0.5)
-        rep = run_comparison(ProblemInstance(cap, 2.0, ONES, 0.5,
-                                             label="shifted-cap"), n_check=256)
+        rep = run_comparison(ProblemInstance(cap, 2.0, ONES, 0.5), n_check=256)
         assert rep.pointwise_violation <= 1e-8 + rep.grid_bound
         assert all(lhs <= rhs + 1e-8
                    for lhs, rhs in rep.gradient_gaps.values())
@@ -346,7 +342,7 @@ class TestPropertySweep:
     @settings(max_examples=10, deadline=None)
     def test_comparison_holds(self, shift, v, p):
         space = make_shifted_cap(2.0, 3.0, shift, v)
-        inst = ProblemInstance(space, p, ONES, v, label="shifted-cap")
+        inst = ProblemInstance(space, p, ONES, v)
         rep = run_comparison(inst, n_check=256)
         assert rep.pointwise_violation <= 1e-8 + rep.grid_bound
         assert all(lhs <= rhs + 1e-8
